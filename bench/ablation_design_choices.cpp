@@ -27,6 +27,7 @@ double run_variant(const char* label, const Dataset& dataset,
   tweak(cfg);
   GnnDrive system(env.ctx, cfg);
   system.run_epoch(1000);  // warm-up
+  env.ssd->reset_stats();
   EpochStats mean;
   const int epochs = measure_epochs();
   for (int e = 0; e < epochs; ++e) {
@@ -37,9 +38,11 @@ double run_variant(const char* label, const Dataset& dataset,
   if (baseline > 0) {
     std::printf("  %5.2fx vs full", mean.epoch_seconds / baseline);
   }
-  std::printf("   (loads %llu, reuse %llu)\n",
+  std::printf("   (loads %llu, reuse %llu, ssd reads/epoch %llu)\n",
               static_cast<unsigned long long>(fb.loads),
-              static_cast<unsigned long long>(fb.reuse_hits));
+              static_cast<unsigned long long>(fb.reuse_hits),
+              static_cast<unsigned long long>(env.ssd->stats().reads /
+                                              epochs));
   std::fflush(stdout);
   return mean.epoch_seconds;
 }

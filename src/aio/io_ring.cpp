@@ -21,6 +21,8 @@ IoRing::IoRing(SsdDevice& ssd, IoRingConfig config, PageCache* cache,
   if (telemetry_ != nullptr) {
     MetricsRegistry& reg = *telemetry_->metrics();
     m_submitted_ = &reg.counter("io.submitted");
+    m_io_errors_ = &reg.counter("fault.io_errors");
+    m_io_timeouts_ = &reg.counter("fault.io_timeouts");
     m_latency_ = &reg.histogram("io.request_us");
     m_inflight_ = &reg.gauge("io.inflight");
   }
@@ -67,9 +69,7 @@ void IoRing::complete(std::uint64_t ring_id, std::int32_t res) {
             .count());
   }
   if (m_inflight_ != nullptr) m_inflight_->sub(1);
-  if (res < 0 && telemetry_ != nullptr) {
-    telemetry_->count(FaultCounter::kIoErrors);
-  }
+  if (res < 0 && m_io_errors_ != nullptr) m_io_errors_->add();
   // draining_ == 0 releases the destructor, so the decrement must be this
   // thread's last touch of the ring — and both notifies stay under the lock
   // so a woken waiter cannot destroy the condvars mid-notify.
@@ -175,9 +175,9 @@ unsigned IoRing::cancel_expired(Duration timeout) {
     }
     if (m_inflight_ != nullptr) m_inflight_->sub(1);
     ++cancelled;
-    if (telemetry_ != nullptr) {
-      telemetry_->count(FaultCounter::kIoTimeouts);
-      telemetry_->count(FaultCounter::kIoErrors);
+    if (m_io_timeouts_ != nullptr) {
+      m_io_timeouts_->add();
+      m_io_errors_->add();
     }
     cq_ready_.notify_one();
   }

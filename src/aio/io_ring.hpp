@@ -135,6 +135,8 @@ class IoRing : NonCopyable {
   // Multiple rings share the instruments: counters/histograms aggregate,
   // the in-flight gauge is updated with deltas so it sums across rings.
   Counter* m_submitted_ = nullptr;         ///< io.submitted
+  Counter* m_io_errors_ = nullptr;         ///< fault.io_errors
+  Counter* m_io_timeouts_ = nullptr;       ///< fault.io_timeouts
   ConcurrentHistogram* m_latency_ = nullptr;  ///< io.request_us
   Gauge* m_inflight_ = nullptr;            ///< io.inflight
 };

@@ -113,10 +113,7 @@ HotPrefetchStats prefetch_hot_rows(FeatureBuffer& fb,
 
   const OnDiskLayout& lay = dataset.layout();
   const auto row_bytes = static_cast<std::uint32_t>(lay.feature_row_bytes);
-  // Same worst-case covering-row bound the extraction planner enforces.
-  const auto covering = static_cast<std::uint32_t>(
-      round_up(row_bytes, kSectorSize) +
-      (row_bytes % kSectorSize == 0 ? 0 : kSectorSize));
+  const std::uint32_t covering = covering_row_bytes(row_bytes, kSectorSize);
   // Packed store (src/layout): a hotness/degree-compiled image places the
   // profiled hot set in one dense physical run, so the extraction-tuned
   // per-segment caps would only chop a single long run into hundreds of

@@ -27,6 +27,23 @@ std::uint64_t elapsed_ns(TimePoint begin, TimePoint end) {
 
 }  // namespace
 
+std::uint32_t covering_row_bytes(std::uint32_t row_bytes,
+                                 std::uint32_t align) {
+  const std::uint32_t max_phase =
+      row_bytes % kSectorSize == 0 ? align - kSectorSize : align;
+  return static_cast<std::uint32_t>(
+      round_up(std::uint64_t{row_bytes} + max_phase, align));
+}
+
+ExtractMetricHooks extract_metric_hooks(Telemetry* telemetry) {
+  if (telemetry == nullptr) return {};
+  MetricsRegistry& reg = *telemetry->metrics();
+  return {&reg.counter("io.coalesce.segments"),
+          &reg.counter("io.coalesce.rows"),
+          &reg.histogram("io.coalesce.rows_per_read"),
+          &reg.gauge("io.staging_in_use"), &reg.counter("fault.io_retries")};
+}
+
 std::uint32_t staging_row_bytes_for(const CoalesceConfig& coalesce,
                                     std::uint32_t covering_row_bytes) {
   if (!coalesce.enabled) return covering_row_bytes;
@@ -55,7 +72,7 @@ SegmentPlan plan_segments(const std::vector<std::uint32_t>& load_idx,
                           const std::vector<NodeId>& nodes,
                           const OnDiskLayout& lay, std::uint32_t row_bytes,
                           std::uint32_t max_bytes, std::uint32_t max_rows,
-                          std::uint32_t max_gap_bytes) {
+                          std::uint32_t max_gap_bytes, std::uint32_t align) {
   GD_CHECK_MSG(max_rows >= 1, "plan_segments needs max_rows >= 1");
   SegmentPlan plan;
   plan.rows.reserve(load_idx.size());
@@ -76,11 +93,7 @@ SegmentPlan plan_segments(const std::vector<std::uint32_t>& load_idx,
   std::sort(items.begin(), items.end(),
             [](const Item& a, const Item& b) { return a.off < b.off; });
 
-  // Worst-case covering range of a single row over any sector phase.
-  const std::uint64_t worst_single =
-      round_up(row_bytes, kSectorSize) +
-      (row_bytes % kSectorSize == 0 ? 0 : kSectorSize);
-  GD_CHECK_MSG(worst_single <= max_bytes,
+  GD_CHECK_MSG(covering_row_bytes(row_bytes, align) <= max_bytes,
                "max_coalesce_bytes below one covering row");
 
   SegmentPlan::Segment seg;
@@ -91,8 +104,8 @@ SegmentPlan plan_segments(const std::vector<std::uint32_t>& load_idx,
     plan.segments.push_back(seg);
   };
   for (const Item& it : items) {
-    const std::uint64_t cover_begin = round_down(it.off, kSectorSize);
-    const std::uint64_t cover_end = round_up(it.off + row_bytes, kSectorSize);
+    const std::uint64_t cover_begin = round_down(it.off, align);
+    const std::uint64_t cover_end = round_up(it.off + row_bytes, align);
     const bool fits =
         seg.num_rows > 0 && seg.num_rows < max_rows &&
         cover_begin <= seg_end + max_gap_bytes &&
@@ -193,6 +206,10 @@ bool extract_load_set(SampledBatch& batch,
   const OnDiskLayout& lay = *env.layout;
   const std::uint32_t row_bytes = env.row_bytes;
   const bool tracing = trace != nullptr && trace->tracing;
+  GD_CHECK_MSG(!env.gds || env.gpu != nullptr, "GDS extraction needs a GPU");
+  // Staging rows in host memory scatter through asynchronous H2D copies
+  // when a GPU holds the feature buffer; every other scatter is synchronous.
+  const bool async_scatter = env.gpu != nullptr && !env.gds;
 
   const CoalesceConfig& co = policy.coalesce;
   const std::uint32_t max_bytes = env.staging_row_bytes;
@@ -200,10 +217,10 @@ bool extract_load_set(SampledBatch& batch,
   const std::uint32_t max_gap = co.enabled ? co.max_gap_bytes : 0;
   const SegmentPlan plan =
       plan_segments(load_idx, batch.nodes, lay, row_bytes, max_bytes,
-                    max_rows, max_gap);
+                    max_rows, max_gap, env.gds ? kPageSize : kSectorSize);
   const std::size_t n_seg = plan.segments.size();
 
-  // Staging rows recycle through this tracker; GPU scatter callbacks touch
+  // Staging rows recycle through this tracker; H2D scatter callbacks touch
   // it from the DMA thread, so every field mutation happens under `m` and
   // notifications stay under the lock (the waiter owns this stack frame and
   // may destroy it the moment its predicate holds).
@@ -230,7 +247,7 @@ bool extract_load_set(SampledBatch& batch,
   std::size_t submitted = 0;
   std::size_t resolved = 0;  // segments that reached a terminal state
   std::size_t inflight = 0;
-  std::size_t transfers_started = 0;  // row scatters handed to the GPU/CPU
+  std::size_t transfers_started = 0;  // row H2D copies handed to the GPU
   bool failed = false;
 
   // Scratch reused per segment for the batched slot allocation.
@@ -379,9 +396,7 @@ bool extract_load_set(SampledBatch& batch,
           attempts[s] < policy.max_retries) {
         ++attempts[s];
         ++counters.io_retries;
-        if (env.telemetry != nullptr) {
-          env.telemetry->count(FaultCounter::kIoRetries);
-        }
+        if (hooks.retries != nullptr) hooks.retries->add();
         const Duration delay =
             policy.backoff ? policy.backoff(attempts[s]) : Duration::zero();
         if (delay <= Duration::zero()) {
@@ -423,7 +438,7 @@ bool extract_load_set(SampledBatch& batch,
     std::uint8_t* const row_base =
         env.staging_base +
         static_cast<std::uint64_t>(row) * env.staging_row_bytes;
-    if (env.gpu != nullptr) {
+    if (async_scatter) {
       {
         std::lock_guard lk(tracker.m);
         tracker.rows_left[s] = seg.num_rows;
@@ -451,26 +466,35 @@ bool extract_load_set(SampledBatch& batch,
             });
       }
     } else {
-      // CPU training/serving: the feature buffer lives in host memory; the
-      // scatter is a plain copy per row, then the staging row recycles.
+      // CPU training/serving keeps the feature buffer in host memory: a
+      // plain copy per row. Under GDS the segment already sits in device
+      // memory: one on-device copy kernel places all of its rows. Either
+      // way the staging row recycles at once.
+      const auto scatter = [&] {
+        for (std::uint32_t r = seg.first_row;
+             r < seg.first_row + seg.num_rows; ++r) {
+          const SlotId slot = batch.alias[load_idx[plan.rows[r].load_pos]];
+          std::memcpy(fb.slot_data(slot), row_base + plan.rows[r].seg_offset,
+                      row_bytes);
+        }
+      };
+      if (env.gds) {
+        env.gpu->launch(scatter);
+      } else {
+        scatter();
+      }
       for (std::uint32_t r = seg.first_row;
            r < seg.first_row + seg.num_rows; ++r) {
-        const NodeId node = batch.nodes[load_idx[plan.rows[r].load_pos]];
-        const SlotId slot = batch.alias[load_idx[plan.rows[r].load_pos]];
-        std::memcpy(fb.slot_data(slot), row_base + plan.rows[r].seg_offset,
-                    row_bytes);
-        fb.mark_valid(node);
+        fb.mark_valid(batch.nodes[load_idx[plan.rows[r].load_pos]]);
       }
-      transfers_started += seg.num_rows;
       std::lock_guard lk(tracker.m);
-      tracker.transfers_done += seg.num_rows;
       tracker.free_rows.push_back(row);
       if (hooks.staging_in_use != nullptr) hooks.staging_in_use->sub(1);
     }
   }
 
   // Always drain transfers — their callbacks touch this stack frame.
-  if (env.gpu != nullptr && transfers_started > 0) {
+  if (async_scatter && transfers_started > 0) {
     ScopedTrace st(env.telemetry, TraceCat::kIoWait);
     const TimePoint tw = tracing ? Clock::now() : TimePoint{};
     std::unique_lock lk(tracker.m);

@@ -16,7 +16,7 @@
 //      cheaper than a second request under the base-latency cost model),
 //   3. issue one read per segment and, on completion, scatter each contained
 //      row into its feature-buffer slot (one H2D per row on GPU, memcpy on
-//      CPU).
+//      CPU, one on-device copy per segment under GPUDirect Storage).
 //
 // Per-segment failure granularity preserves the fault-tolerance contract:
 // a transient error retries the whole segment (keeping its staging row); an
@@ -24,6 +24,10 @@
 // batch exactly like the per-node path did. `coalesce.enabled = false`
 // degenerates to one single-row segment per node — the planner and loop are
 // the same code, so the A/B toggle compares pure I/O shapes.
+//
+// GPUDirect Storage (Sect. 4.4, `ExtractEnv::gds`) runs the same loop with
+// device-resident staging rows: segments are planned at 4 KiB alignment
+// (the GDS access granularity) and land straight in device memory.
 //
 // Entry points:
 //   * plan_segments()     — pure planning, property-tested in isolation.
@@ -86,11 +90,18 @@ struct SegmentPlan {
   std::vector<Segment> segments;
 };
 
-/// Plans sector-aligned covering reads for `load_idx` (indices into
+/// Worst-case length of an `align`-aligned read covering one row. Feature
+/// regions are sector-aligned, so a row whose size is a sector multiple
+/// starts on a sector boundary and straddles at most `align - kSectorSize`
+/// bytes of its first block; any other row may start anywhere in it.
+std::uint32_t covering_row_bytes(std::uint32_t row_bytes,
+                                 std::uint32_t align);
+
+/// Plans `align`-aligned covering reads for `load_idx` (indices into
 /// `nodes`), sorted by disk offset and greedily merged under the caps.
-/// `max_bytes` must admit at least one covering row; `max_rows >= 1`;
-/// ranges merge when the gap between consecutive covering ranges is at
-/// most `max_gap_bytes`.
+/// `max_bytes` must admit `covering_row_bytes(row_bytes, align)`;
+/// `max_rows >= 1`; ranges merge when the gap between consecutive covering
+/// ranges is at most `max_gap_bytes`.
 ///
 /// Offsets come from `lay.feature_offset_of`, i.e. they are *physical* row
 /// positions under whatever layout plan is installed (src/layout). The
@@ -101,7 +112,8 @@ SegmentPlan plan_segments(const std::vector<std::uint32_t>& load_idx,
                           const std::vector<NodeId>& nodes,
                           const OnDiskLayout& lay, std::uint32_t row_bytes,
                           std::uint32_t max_bytes, std::uint32_t max_rows,
-                          std::uint32_t max_gap_bytes);
+                          std::uint32_t max_gap_bytes,
+                          std::uint32_t align = kSectorSize);
 
 /// The substrate one extraction runs against. All pointers are borrowed.
 struct ExtractEnv {
@@ -113,7 +125,11 @@ struct ExtractEnv {
   std::uint32_t staging_row_bytes = 0;  ///< per-row slot size (>= any segment)
   std::uint32_t staging_rows = 0;       ///< number of recycled row slots
   GpuDevice* gpu = nullptr;             ///< null: host memcpy scatter
-  Telemetry* telemetry = nullptr;       ///< optional (fault counters, traces)
+  Telemetry* telemetry = nullptr;       ///< optional (I/O-wait traces)
+  /// GPUDirect Storage: the staging rows are device memory, segments are
+  /// planned at kPageSize alignment, and each completed segment scatters
+  /// with one on-device copy (GpuDevice::launch). Requires `gpu`.
+  bool gds = false;
 };
 
 /// Fault/retry policy plus log identity for one extraction.
@@ -139,10 +155,15 @@ struct ExtractMetricHooks {
   Counter* rows = nullptr;                  ///< io.coalesce.rows
   ConcurrentHistogram* rows_per_read = nullptr;  ///< io.coalesce.rows_per_read
   Gauge* staging_in_use = nullptr;          ///< io.staging_in_use (rows held)
+  Counter* retries = nullptr;               ///< fault.io_retries
 };
 
-/// Per-call accounting, merged by the caller into its own counters
-/// (EpochResult for training, atomics for serving).
+/// Every hook above resolved in `telemetry`'s registry (all null without
+/// telemetry).
+ExtractMetricHooks extract_metric_hooks(Telemetry* telemetry);
+
+/// Accounting that extract_load_set adds to (training keeps one per
+/// extractor for the epoch, serving one per batch).
 struct ExtractCounters {
   std::uint64_t io_errors = 0;
   std::uint64_t io_retries = 0;

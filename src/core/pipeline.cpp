@@ -1,7 +1,6 @@
 #include "core/pipeline.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <exception>
 #include <stdexcept>
@@ -28,12 +27,6 @@ void model_cpu_slowdown(double real_seconds, double factor) {
   }
 }
 
-/// Transient storage failures are retried; anything else (alignment bugs,
-/// out-of-range) is a programming error and fails the batch immediately.
-bool transient_error(std::int32_t res) {
-  return res == -EIO || res == -ETIMEDOUT;
-}
-
 std::uint64_t elapsed_ns(TimePoint begin, TimePoint end) {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(end - begin)
@@ -50,19 +43,13 @@ std::uint32_t epoch_of(std::uint64_t batch_id) {
 struct GnnDrive::ExtractorState {
   std::unique_ptr<IoRing> ring;
   std::uint8_t* staging_base = nullptr;  ///< staging_rows_ segment-wide rows
-  std::uint8_t* gds_base = nullptr;      ///< ring_depth covering blocks (GDS)
   Rng backoff_rng{0};                    ///< jitter source, seeded per worker
-  EpochResult counters;                  ///< accumulated fault accounting
-  ExtractMetricHooks hooks;              ///< io.coalesce.* (null w/o registry)
-  std::uint64_t io_segments = 0;         ///< coalesced reads issued
-  std::uint64_t io_rows = 0;             ///< rows delivered by those reads
-
-  // Extract sub-phase attribution for the current batch, accumulated only
-  // while tracing is enabled (the real loop interleaves submit / SSD wait /
-  // transfer wait; the worker emits them as sequential synthetic spans).
-  std::uint64_t submit_ns = 0;
-  std::uint64_t ssd_wait_ns = 0;
-  std::uint64_t copy_wait_ns = 0;
+  ExtractMetricHooks hooks;              ///< null without a registry
+  ExtractCounters counters;              ///< this epoch's extraction totals
+  /// The current batch's extract sub-phases, accumulated only while tracing
+  /// (the loop interleaves submit / SSD wait / transfer wait; the worker
+  /// emits them as sequential synthetic spans).
+  ExtractTrace trace;
 
   /// Jittered exponential backoff delay before retry number `attempt` (1+).
   Duration backoff(const FaultToleranceConfig& ft, std::uint32_t attempt) {
@@ -88,16 +75,28 @@ GnnDrive::GnnDrive(const RunContext& ctx, GnnDriveConfig config)
                               ds.spec().num_nodes);
   const auto row_bytes =
       static_cast<std::uint32_t>(ds.layout().feature_row_bytes);
-  covering_row_bytes_ =
-      row_bytes % kSectorSize == 0
-          ? row_bytes
-          : static_cast<std::uint32_t>(round_up(row_bytes, kSectorSize)) +
-                kSectorSize;
+  GD_CHECK_MSG(!(config_.gds_mode && config_.cpu_training),
+               "GDS mode requires GPU training");
+  // GDS reads at its 4 KiB access granularity, the staging path at sectors.
+  const std::uint32_t covering = covering_row_bytes(
+      row_bytes, config_.gds_mode ? kPageSize : kSectorSize);
   // Coalesced extraction: staging rows widen to hold a whole merged segment
   // and the per-extractor row pool shrinks accordingly (core/extract.hpp).
-  staging_row_bytes_ = staging_row_bytes_for(config_.coalesce,
-                                             covering_row_bytes_);
+  staging_row_bytes_ = staging_row_bytes_for(config_.coalesce, covering);
   staging_rows_ = staging_rows_for(config_.coalesce, config_.ring_depth);
+  if (config_.gds_mode) {
+    // Device memory is the scarcer budget: GDS staging keeps the device
+    // bytes of one bounce block per ring slot (the row rounded up to 4 KiB,
+    // plus a page for a row straddling two), and wider coalesced rows share
+    // them, at least one row.
+    const std::uint64_t device_budget =
+        std::uint64_t{config_.ring_depth} *
+        (round_up(row_bytes, kPageSize) + kPageSize);
+    staging_rows_ = static_cast<std::uint32_t>(std::clamp<std::uint64_t>(
+        device_budget / staging_row_bytes_, 1, staging_rows_));
+  }
+  const std::uint64_t staging_per_extractor =
+      std::uint64_t{staging_rows_} * staging_row_bytes_;
 
   // Model (input/output dims come from the dataset).
   ModelConfig mc = config_.common.model;
@@ -114,17 +113,20 @@ GnnDrive::GnnDrive(const RunContext& ctx, GnnDriveConfig config)
   const std::uint64_t act_headroom =
       x0_bytes + max_batch_nodes_ * (8ull * mc.hidden_dim + mc.num_classes) * 4;
 
-  // Auto-shrink the extractor count so (a) the staging buffer fits the host
-  // budget and (b) the Ne x Mb feature-buffer reserve fits device memory.
+  // Auto-shrink the extractor count so (a) the staging area fits its
+  // budget — pinned host memory, or device memory under GDS — and (b) the
+  // Ne x Mb feature-buffer reserve fits device memory next to it.
   num_extractors_ = std::max(1u, config_.num_extractors);
   const auto staging_budget = static_cast<std::uint64_t>(
       config_.staging_fraction * static_cast<double>(mem.available()));
-  const std::uint64_t device_for_slots =
-      config_.cpu_training
-          ? ~0ull
-          : config_.gpu.device_memory_bytes -
-                std::min(config_.gpu.device_memory_bytes,
-                         model_->param_state_bytes() + act_headroom);
+  const auto device_for_slots = [&](std::uint32_t extractors) {
+    if (config_.cpu_training) return ~std::uint64_t{0};
+    const std::uint64_t used =
+        model_->param_state_bytes() + act_headroom +
+        (config_.gds_mode ? extractors * staging_per_extractor : 0);
+    return config_.gpu.device_memory_bytes -
+           std::min(config_.gpu.device_memory_bytes, used);
+  };
   // CPU training keeps the feature buffer in host memory: its Ne x Mb
   // reserve competes for the same budget, so it bounds Ne as well.
   const std::uint64_t host_for_slots =
@@ -134,26 +136,28 @@ GnnDrive::GnnDrive(const RunContext& ctx, GnnDriveConfig config)
           : ~0ull;
   while (num_extractors_ > 1 &&
          ((!config_.gds_mode &&
-           static_cast<std::uint64_t>(num_extractors_) * staging_rows_ *
-                   staging_row_bytes_ >
-               staging_budget) ||
+           num_extractors_ * staging_per_extractor > staging_budget) ||
           num_extractors_ * max_batch_nodes_ * row_bytes >
-              std::min(device_for_slots, host_for_slots))) {
+              std::min(device_for_slots(num_extractors_), host_for_slots))) {
     --num_extractors_;
   }
 
-  GD_CHECK_MSG(!(config_.gds_mode && config_.cpu_training),
-               "GDS mode requires GPU training");
-  // Staging rows are recycled as transfers retire, so the buffer is
-  // bounded by the number of extractors times the I/O depth — "the number
-  // of features to be loaded to GPU for each extractor" (Sect. 4.2) — not
-  // by the whole mini-batch. This is what keeps GNNDrive's host footprint
-  // tiny even at an "8 GB" budget (Fig. 9).
-  const std::uint64_t staging_bytes =
-      config_.gds_mode ? 0
-                       : static_cast<std::uint64_t>(num_extractors_) *
-                             staging_rows_ * staging_row_bytes_;
-  staging_pin_ = PinnedBytes(mem, staging_bytes, "gnndrive-staging");
+  if (!config_.cpu_training) {
+    gpu_ = std::make_unique<GpuDevice>(config_.gpu, ctx_.telemetry);
+    model_state_alloc_ =
+        DeviceAlloc(*gpu_, model_->param_state_bytes(), "model+adam");
+  }
+  // Staging rows are recycled as transfers retire, so the area is bounded
+  // by the number of extractors times the I/O depth — "the number of
+  // features to be loaded to GPU for each extractor" (Sect. 4.2) — not by
+  // the whole mini-batch. This is what keeps GNNDrive's host footprint
+  // tiny even at an "8 GB" budget (Fig. 9). GDS moves it to the device.
+  const std::uint64_t staging_bytes = num_extractors_ * staging_per_extractor;
+  if (config_.gds_mode) {
+    staging_alloc_ = DeviceAlloc(*gpu_, staging_bytes, "gds-staging");
+  } else {
+    staging_pin_ = PinnedBytes(mem, staging_bytes, "gnndrive-staging");
+  }
   staging_.resize(staging_bytes);
 
   // Feature buffer: at least the Ne x Mb deadlock reserve; by default enough
@@ -182,26 +186,12 @@ GnnDrive::GnnDrive(const RunContext& ctx, GnnDriveConfig config)
     cpu_buffer_pin_ =
         PinnedBytes(mem, feature_slots_ * row_bytes, "gnndrive-feature-buf");
   } else {
-    gpu_ = std::make_unique<GpuDevice>(config_.gpu, ctx_.telemetry);
-    model_state_alloc_ =
-        DeviceAlloc(*gpu_, model_->param_state_bytes(), "model+adam");
-    const std::uint64_t fit = device_for_slots / row_bytes;
+    const std::uint64_t fit = device_for_slots(num_extractors_) / row_bytes;
     feature_slots_ = std::max<std::uint64_t>(
         std::min<std::uint64_t>(desired, fit), reserve);
     // Throws device SimOutOfMemory when even the reserve does not fit.
     feature_buffer_alloc_ =
         DeviceAlloc(*gpu_, feature_slots_ * row_bytes, "feature-buffer");
-  }
-
-  if (config_.gds_mode) {
-    // GDS: per-extractor device bounce blocks at 4 KiB granularity.
-    gds_covering_bytes_ = static_cast<std::uint32_t>(
-        round_up(row_bytes, kPageSize) + kPageSize);
-    const std::uint64_t bounce_bytes =
-        static_cast<std::uint64_t>(num_extractors_) * config_.ring_depth *
-        gds_covering_bytes_;
-    gds_bounce_alloc_ = DeviceAlloc(*gpu_, bounce_bytes, "gds-bounce");
-    gds_bounce_.resize(bounce_bytes);
   }
 
   FeatureBufferConfig fb;
@@ -302,11 +292,6 @@ bool GnnDrive::extract_batch(SampledBatch& batch, ExtractorState& state) {
       std::max(from_us(ft.request_timeout_ms * 1e3 / 4), from_us(500.0));
   const Duration wait_list_timeout = from_us(ft.wait_list_timeout_ms * 1e3);
 
-  SpanTracer* tracer =
-      ctx_.telemetry != nullptr ? ctx_.telemetry->tracer() : nullptr;
-  const bool tracing = tracer != nullptr && tracer->enabled();
-  state.submit_ns = state.ssd_wait_ns = state.copy_wait_ns = 0;
-
   std::vector<std::uint32_t> wait_idx;
   std::vector<std::uint32_t> load_idx;
 
@@ -315,116 +300,6 @@ bool GnnDrive::extract_batch(SampledBatch& batch, ExtractorState& state) {
   {
     BusyScope busy(ctx_.telemetry);
     triage_batch(fb, batch, wait_idx, load_idx);
-  }
-
-  if (config_.gds_mode) {
-    // GPUDirect-Storage path (Sect. 4.4): SSD DMAs 4 KiB-aligned blocks
-    // straight into device bounce memory; an on-device copy places the row
-    // into its feature-buffer slot. No host staging, no separate H2D phase.
-    // Fault policy here is simpler than the staging path: transient read
-    // failures retry immediately (same bounce block) up to the budget; the
-    // watchdog cancels overdue requests so a stuck DMA cannot wedge the
-    // extractor.
-    std::vector<unsigned> free_bounce;
-    for (unsigned i = 0; i < config_.ring_depth; ++i) free_bounce.push_back(i);
-    const std::size_t n_load = load_idx.size();
-    std::vector<unsigned> bounce_of(n_load, 0);
-    std::vector<std::uint32_t> attempts(n_load, 0);
-    std::size_t submitted = 0;
-    std::size_t resolved = 0;
-    std::size_t inflight = 0;
-    bool failed = false;
-    const auto submit_gds_read = [&](std::size_t j) {
-      const TimePoint t = tracing ? Clock::now() : TimePoint{};
-      const NodeId node = batch.nodes[load_idx[j]];
-      const std::uint64_t off = lay.feature_offset_of(node);
-      const std::uint64_t base = round_down(off, kPageSize);  // 4 KiB
-      const auto len = static_cast<std::uint32_t>(
-          round_up(off + row_bytes, kPageSize) - base);
-      GD_CHECK(len <= gds_covering_bytes_);
-      state.ring->prep_read(
-          base, len, state.gds_base + bounce_of[j] * gds_covering_bytes_, j);
-      state.ring->submit();
-      ++inflight;
-      if (tracing) state.submit_ns += elapsed_ns(t, Clock::now());
-    };
-    while (resolved < n_load) {
-      while (!failed && submitted < n_load && !free_bounce.empty()) {
-        const std::size_t j = submitted++;
-        const std::uint32_t i = load_idx[j];
-        batch.alias[i] = fb.allocate_slot(batch.nodes[i]);
-        bounce_of[j] = free_bounce.back();
-        free_bounce.pop_back();
-        submit_gds_read(j);
-      }
-      if (failed && submitted < n_load) {
-        // Unwind loads that were never submitted: their refs are owed but no
-        // slot was allocated; waiters see the failure and fail their batch.
-        for (std::size_t j = submitted; j < n_load; ++j) {
-          fb.mark_failed(batch.nodes[load_idx[j]]);
-          ++resolved;
-        }
-        submitted = n_load;
-        continue;
-      }
-      if (inflight == 0) continue;
-      const TimePoint tw = tracing ? Clock::now() : TimePoint{};
-      const auto cqe_opt = state.ring->wait_cqe_for(poll);
-      if (tracing) state.ssd_wait_ns += elapsed_ns(tw, Clock::now());
-      if (!cqe_opt) {
-        state.ring->cancel_expired(req_timeout);
-        continue;
-      }
-      --inflight;
-      const std::size_t j = cqe_opt->user_data;
-      const NodeId node = batch.nodes[load_idx[j]];
-      if (cqe_opt->res < 0) {
-        ++state.counters.io_errors;
-        if (cqe_opt->res == -ETIMEDOUT) ++state.counters.io_timeouts;
-        if (!failed && transient_error(cqe_opt->res) &&
-            attempts[j] < ft.max_retries) {
-          ++attempts[j];
-          ++state.counters.io_retries;
-          if (ctx_.telemetry) ctx_.telemetry->count(FaultCounter::kIoRetries);
-          submit_gds_read(j);
-          continue;
-        }
-        failed = true;
-        log_structured(LogLevel::kWarn, "extract_failed",
-                       {kv("batch", batch.batch_id),
-                        kv("epoch", epoch_of(batch.batch_id)),
-                        kv("node", node), kv("res", cqe_opt->res),
-                        kv("attempts", attempts[j])});
-        fb.mark_failed(node);
-        free_bounce.push_back(bounce_of[j]);
-        ++resolved;
-        continue;
-      }
-      if (attempts[j] > 0) ++state.counters.io_recovered;
-      const std::uint64_t off = lay.feature_offset_of(node);
-      const std::uint64_t base = round_down(off, kPageSize);
-      const unsigned bslot = bounce_of[j];
-      const std::uint32_t i = load_idx[j];
-      gpu_->launch([&] {  // on-device copy: bounce block -> slot
-        std::memcpy(fb.slot_data(batch.alias[i]),
-                    state.gds_base + bslot * gds_covering_bytes_ +
-                        (off - base),
-                    row_bytes);
-      });
-      fb.mark_valid(node);
-      free_bounce.push_back(bslot);
-      ++resolved;
-    }
-    for (std::uint32_t i : wait_idx) {
-      if (failed) break;  // refs released by the caller
-      const auto slot = fb.wait_ready(batch.nodes[i], wait_list_timeout);
-      if (!slot.has_value() || *slot == kNoSlot) {
-        failed = true;
-        break;
-      }
-      batch.alias[i] = *slot;
-    }
-    return !failed;
   }
 
   // Pass 2 (lines 20-31): the shared coalescing core (core/extract.cpp)
@@ -442,6 +317,7 @@ bool GnnDrive::extract_batch(SampledBatch& batch, ExtractorState& state) {
   env.staging_rows = staging_rows_;
   env.gpu = gpu_.get();
   env.telemetry = ctx_.telemetry;
+  env.gds = config_.gds_mode;
 
   ExtractPolicy policy;
   policy.coalesce = config_.coalesce;
@@ -454,20 +330,8 @@ bool GnnDrive::extract_batch(SampledBatch& batch, ExtractorState& state) {
   policy.batch_id = batch.batch_id;
   policy.epoch = epoch_of(batch.batch_id);
 
-  ExtractCounters ec;
-  ExtractTrace tr;
-  tr.tracing = tracing;
-  bool ok = extract_load_set(batch, load_idx, env, policy, state.hooks, ec,
-                             &tr);
-  state.counters.io_errors += ec.io_errors;
-  state.counters.io_retries += ec.io_retries;
-  state.counters.io_recovered += ec.io_recovered;
-  state.counters.io_timeouts += ec.io_timeouts;
-  state.io_segments += ec.segments;
-  state.io_rows += ec.rows_loaded;
-  state.submit_ns = tr.submit_ns;
-  state.ssd_wait_ns = tr.ssd_wait_ns;
-  state.copy_wait_ns = tr.copy_wait_ns;
+  bool ok = extract_load_set(batch, load_idx, env, policy, state.hooks,
+                             state.counters, &state.trace);
 
   // Wait-list resolution (line 38): nodes other extractors were loading. A
   // loader always resolves its nodes (valid or failed), so the timeout only
@@ -716,15 +580,13 @@ EpochStats GnnDrive::run_epoch(std::uint64_t epoch) {
   std::atomic<std::size_t> next_batch{start};
   std::atomic<std::uint64_t> sample_ns{0};
   std::atomic<std::uint64_t> extract_ns{0};
-  // Epoch fault accounting (EpochResult), merged from per-worker counters.
   std::atomic<std::uint64_t> failed_batches{0};
   std::atomic<std::uint64_t> trained_batches{0};
-  std::atomic<std::uint64_t> io_errors{0};
-  std::atomic<std::uint64_t> io_retries{0};
-  std::atomic<std::uint64_t> io_recovered{0};
-  std::atomic<std::uint64_t> io_timeouts{0};
-  std::atomic<std::uint64_t> io_segments{0};
-  std::atomic<std::uint64_t> io_rows{0};
+  Counter* m_failed_batches =
+      reg != nullptr ? &reg->counter("fault.failed_batches") : nullptr;
+  // Each extractor's final counters, summed into the epoch report once the
+  // workers have joined.
+  std::vector<ExtractCounters> extract_totals(num_extractors_);
   std::mutex err_mu;
   std::exception_ptr error;
   const auto capture_error = [&] {
@@ -784,48 +646,22 @@ EpochStats GnnDrive::run_epoch(std::uint64_t epoch) {
         ExtractorState state;
         state.backoff_rng =
             Rng(splitmix64(config_.common.run_seed ^ (epoch << 8) ^ e));
-        const auto flush_counters = [&] {
-          io_errors.fetch_add(state.counters.io_errors);
-          io_retries.fetch_add(state.counters.io_retries);
-          io_recovered.fetch_add(state.counters.io_recovered);
-          io_timeouts.fetch_add(state.counters.io_timeouts);
-          io_segments.fetch_add(state.io_segments);
-          io_rows.fetch_add(state.io_rows);
-          state.counters = EpochResult{};
-          state.io_segments = 0;
-          state.io_rows = 0;
-        };
         try {
           IoRingConfig rc;
           rc.queue_depth = config_.ring_depth;
           // Direct I/O bypasses the OS page cache (Sect. 4.2); buffered
           // mode exists as an ablation (see GnnDriveConfig::direct_io).
           rc.direct = config_.direct_io;
-          if (!config_.gds_mode) {
-            // A request longer than a staging slot would overrun it; the
-            // ring rejects such a planner bug with -EINVAL.
-            rc.max_transfer_bytes = staging_row_bytes_;
-          }
+          // A request longer than a staging slot would overrun it; the
+          // ring rejects such a planner bug with -EINVAL.
+          rc.max_transfer_bytes = staging_row_bytes_;
           state.ring = std::make_unique<IoRing>(
               *ctx_.ssd, rc, config_.direct_io ? nullptr : ctx_.page_cache,
               ctx_.telemetry);
-          if (reg != nullptr) {
-            state.hooks.segments = &reg->counter("io.coalesce.segments");
-            state.hooks.rows = &reg->counter("io.coalesce.rows");
-            state.hooks.rows_per_read =
-                &reg->histogram("io.coalesce.rows_per_read");
-            state.hooks.staging_in_use = &reg->gauge("io.staging_in_use");
-          }
-          if (config_.gds_mode) {
-            state.gds_base =
-                gds_bounce_.data() + static_cast<std::uint64_t>(e) *
-                                         config_.ring_depth *
-                                         gds_covering_bytes_;
-          } else {
-            state.staging_base =
-                staging_.data() + static_cast<std::uint64_t>(e) *
-                                      staging_rows_ * staging_row_bytes_;
-          }
+          state.hooks = extract_metric_hooks(tel);
+          state.staging_base =
+              staging_.data() + static_cast<std::uint64_t>(e) *
+                                    staging_rows_ * staging_row_bytes_;
           for (;;) {
             const TimePoint qb = tracing ? Clock::now() : TimePoint{};
             auto batch = extract_q.pop();
@@ -836,6 +672,7 @@ EpochStats GnnDrive::run_epoch(std::uint64_t epoch) {
             }
             const TimePoint ts = Clock::now();
             const std::uint64_t span_base = tracing ? tracer->now_ns() : 0;
+            state.trace = ExtractTrace{tracing};
             const bool ok = extract_batch(*batch, state);
             const TimePoint te = Clock::now();
             extract_ns.fetch_add(elapsed_ns(ts, te));
@@ -845,20 +682,21 @@ EpochStats GnnDrive::run_epoch(std::uint64_t epoch) {
               // The real loop interleaves submit / SSD wait / transfer wait;
               // the accumulated durations are emitted back-to-back so the
               // extract row shows where the time went.
+              const ExtractTrace& tr = state.trace;
               std::uint64_t cur = span_base;
-              if (state.submit_ns > 0) {
+              if (tr.submit_ns > 0) {
                 tracer->record_rel(kSpanRingSubmit, batch->batch_id, epoch32,
-                                   cur, state.submit_ns);
-                cur += state.submit_ns;
+                                   cur, tr.submit_ns);
+                cur += tr.submit_ns;
               }
-              if (state.ssd_wait_ns > 0) {
+              if (tr.ssd_wait_ns > 0) {
                 tracer->record_rel(kSpanSsdWait, batch->batch_id, epoch32, cur,
-                                   state.ssd_wait_ns);
-                cur += state.ssd_wait_ns;
+                                   tr.ssd_wait_ns);
+                cur += tr.ssd_wait_ns;
               }
-              if (state.copy_wait_ns > 0) {
+              if (tr.copy_wait_ns > 0) {
                 tracer->record_rel(kSpanCopyWait, batch->batch_id, epoch32,
-                                   cur, state.copy_wait_ns);
+                                   cur, tr.copy_wait_ns);
               }
             }
             if (ok) {
@@ -867,9 +705,7 @@ EpochStats GnnDrive::run_epoch(std::uint64_t epoch) {
               // Graceful degradation: the batch never trains, but its
               // references must still drain so slots return to standby.
               failed_batches.fetch_add(1);
-              if (ctx_.telemetry) {
-                ctx_.telemetry->count(FaultCounter::kFailedBatches);
-              }
+              if (m_failed_batches != nullptr) m_failed_batches->add();
               log_structured(LogLevel::kWarn, "batch_failed",
                              {kv("batch", batch->batch_id), kv("epoch", epoch),
                               kv("io_errors", state.counters.io_errors),
@@ -881,16 +717,15 @@ EpochStats GnnDrive::run_epoch(std::uint64_t epoch) {
                 feature_buffer_->release(item->nodes);
               }
               if (config_.fault.fail_fast) {
-                flush_counters();
                 throw std::runtime_error(
                     "GNNDrive: batch extraction failed (fail_fast)");
               }
             }
           }
-          flush_counters();
         } catch (...) {
           capture_error();
         }
+        extract_totals[e] = state.counters;
       });
     }
     // Trainer.
@@ -1002,10 +837,14 @@ EpochStats GnnDrive::run_epoch(std::uint64_t epoch) {
   stats.extract_seconds = static_cast<double>(extract_ns.load()) / 1e9;
   stats.result.failed_batches = failed_batches.load();
   stats.result.trained_batches = trained_batches.load();
-  stats.result.io_errors = io_errors.load();
-  stats.result.io_retries = io_retries.load();
-  stats.result.io_recovered = io_recovered.load();
-  stats.result.io_timeouts = io_timeouts.load();
+  for (const ExtractCounters& c : extract_totals) {
+    stats.result.io_errors += c.io_errors;
+    stats.result.io_retries += c.io_retries;
+    stats.result.io_recovered += c.io_recovered;
+    stats.result.io_timeouts += c.io_timeouts;
+    stats.obs.io_segments += c.segments;
+    stats.obs.io_rows += c.rows_loaded;
+  }
   const auto fill = [](StageLatency& s, const ConcurrentHistogram& h) {
     const LatencyHistogram lh = h.snapshot();
     s.count = lh.count();
@@ -1026,8 +865,6 @@ EpochStats GnnDrive::run_epoch(std::uint64_t epoch) {
   stats.obs.fb_reuse_hits = fb_after.reuse_hits - fb_before.reuse_hits;
   stats.obs.fb_wait_hits = fb_after.wait_hits - fb_before.wait_hits;
   stats.obs.fb_loads = fb_after.loads - fb_before.loads;
-  stats.obs.io_segments = io_segments.load();
-  stats.obs.io_rows = io_rows.load();
   // Mean loss/accuracy over the batches that actually trained (identical to
   // dividing by n_batches on a clean epoch).
   const std::uint64_t denom =

@@ -25,7 +25,9 @@
 // for each extractor"; Ne additionally auto-shrinks to respect the budgets
 // — the paper's "expanded or shrunk by adjusting the number of
 // extractors"). The feature buffer reserves at least Ne x Mb device slots
-// (deadlock freedom) and is capped by device memory (the paper's
+// (deadlock freedom) and is capped by the device memory left after the
+// model, the per-batch activations and — under GDS, where the staging
+// buffer lives on the device — the staging rows (the paper's
 // training-queue-depth restriction).
 #pragma once
 
@@ -92,8 +94,10 @@ struct GnnDriveConfig {
   /// future work): feature reads DMA from SSD straight into device memory,
   /// eliminating the host staging buffer entirely. Constraints modeled as
   /// the paper describes them: 4 KiB access granularity (redundant loading
-  /// of neighbouring rows is inevitable) and a small device-side bounce
-  /// area bounded by the ring depth. GPU training only.
+  /// of neighbouring rows is inevitable) and a device-resident staging
+  /// area of at most ring_depth x (row rounded up to 4 KiB + 4 KiB) bytes
+  /// per extractor, charged to device memory before the feature buffer is
+  /// sized. GPU training only.
   bool gds_mode = false;
   /// CPU-training kernel-time floor (FLOP/s), analogous to
   /// GpuConfig::gpu_flops_per_s: models per-batch CPU training time on the
@@ -227,7 +231,6 @@ class GnnDrive final : public TrainSystem {
 
   std::uint32_t num_extractors_ = 0;     ///< after auto-shrink
   std::uint64_t max_batch_nodes_ = 0;    ///< Mb
-  std::uint32_t covering_row_bytes_ = 0; ///< one row's sector-aligned cover
   std::uint32_t staging_row_bytes_ = 0;  ///< per staging slot (>= a segment)
   std::uint32_t staging_rows_ = 0;       ///< staging slots per extractor
   std::uint64_t feature_slots_ = 0;
@@ -239,19 +242,16 @@ class GnnDrive final : public TrainSystem {
   HotSetSource hot_source_ = HotSetSource::kNone;
 
   PinnedBytes metadata_pin_;
-  PinnedBytes staging_pin_;
+  PinnedBytes staging_pin_;  ///< staging_'s charge, unless under GDS
   PinnedBytes cpu_buffer_pin_;
-  std::vector<std::uint8_t> staging_;  ///< Ne x Mb covering rows
-
-  // GDS mode: device-side bounce area (Ne x ring_depth covering blocks)
-  // replaces the host staging buffer.
-  std::uint32_t gds_covering_bytes_ = 0;
-  std::vector<std::uint8_t> gds_bounce_;
+  /// Ne x staging_rows_ rows of staging_row_bytes_: pinned host memory, or
+  /// device memory under GDS (charged by staging_alloc_).
+  std::vector<std::uint8_t> staging_;
 
   // Every DeviceAlloc must be declared after gpu_: its destructor frees
   // into the device, so it has to run before the device is torn down.
   std::unique_ptr<GpuDevice> gpu_;
-  DeviceAlloc gds_bounce_alloc_;
+  DeviceAlloc staging_alloc_;
   DeviceAlloc feature_buffer_alloc_;
   DeviceAlloc model_state_alloc_;
   std::unique_ptr<FeatureBuffer> feature_buffer_;

@@ -17,6 +17,7 @@ void PageCache::set_telemetry(Telemetry* t) {
   telemetry_ = t;
   if (t == nullptr) {
     m_hits_ = m_misses_ = m_evictions_ = m_fault_wait_us_ = nullptr;
+    m_io_errors_ = m_io_retries_ = nullptr;
     return;
   }
   MetricsRegistry& reg = *t->metrics();
@@ -24,6 +25,8 @@ void PageCache::set_telemetry(Telemetry* t) {
   m_misses_ = &reg.counter("pagecache.misses");
   m_evictions_ = &reg.counter("pagecache.evictions");
   m_fault_wait_us_ = &reg.counter("pagecache.fault_wait_us");
+  m_io_errors_ = &reg.counter("fault.io_errors");
+  m_io_retries_ = &reg.counter("fault.io_retries");
 }
 
 std::uint64_t PageCache::capacity_pages() const {
@@ -118,9 +121,9 @@ bool PageCache::fault_page(std::unique_lock<std::mutex>& lock,
     for (int attempt = 0; attempt < 4; ++attempt) {
       res = ssd_.read_sync(off, len, scratch);
       if (res >= 0) break;
-      if (telemetry_ != nullptr) {
-        telemetry_->count(FaultCounter::kIoErrors);
-        if (attempt < 3) telemetry_->count(FaultCounter::kIoRetries);
+      if (m_io_errors_ != nullptr) {
+        m_io_errors_->add();
+        if (attempt < 3) m_io_retries_->add();
       }
     }
     if (res < 0) {

@@ -90,6 +90,8 @@ class PageCache : NonCopyable {
   /// fault_page (device reads + waits on another thread's load). The
   /// attributor reads its windowed delta as the cache's stall cost.
   Counter* m_fault_wait_us_ = nullptr;
+  Counter* m_io_errors_ = nullptr;   ///< fault.io_errors
+  Counter* m_io_retries_ = nullptr;  ///< fault.io_retries
 
   mutable std::mutex mu_;
   std::condition_variable load_done_;

@@ -133,15 +133,10 @@ ServeEngine::ServeEngine(const RunContext& ctx, const ServeConfig& config,
   const Dataset& ds = *ctx_.dataset;
   const auto row_bytes =
       static_cast<std::uint32_t>(ds.layout().feature_row_bytes);
-  covering_row_bytes_ =
-      row_bytes % kSectorSize == 0
-          ? row_bytes
-          : static_cast<std::uint32_t>(round_up(row_bytes, kSectorSize)) +
-                kSectorSize;
   // Coalesced extraction sizing, mirroring the training pipeline: staging
   // rows widen to hold a merged segment, the per-worker pool shrinks.
-  staging_row_bytes_ =
-      staging_row_bytes_for(config_.coalesce, covering_row_bytes_);
+  staging_row_bytes_ = staging_row_bytes_for(
+      config_.coalesce, covering_row_bytes(row_bytes, kSectorSize));
   staging_rows_ = staging_rows_for(config_.coalesce, config_.ring_depth);
   const std::uint64_t staging_bytes =
       static_cast<std::uint64_t>(config_.workers) * staging_rows_ *
@@ -383,13 +378,7 @@ void ServeEngine::worker_loop(std::uint32_t worker_id) {
   ws.ring = std::make_unique<IoRing>(*ctx_.ssd, rc, nullptr, ctx_.telemetry);
   ws.staging_base = staging_.data() + static_cast<std::uint64_t>(worker_id) *
                                           staging_rows_ * staging_row_bytes_;
-  if (ctx_.telemetry != nullptr) {
-    MetricsRegistry& reg = *ctx_.telemetry->metrics();
-    ws.hooks.segments = &reg.counter("io.coalesce.segments");
-    ws.hooks.rows = &reg.counter("io.coalesce.rows");
-    ws.hooks.rows_per_read = &reg.histogram("io.coalesce.rows_per_read");
-    ws.hooks.staging_in_use = &reg.gauge("io.staging_in_use");
-  }
+  ws.hooks = extract_metric_hooks(ctx_.telemetry);
   for (;;) {
     auto batch = coalescer_.collect();
     if (batch.empty()) return;  // queue closed & drained

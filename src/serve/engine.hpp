@@ -144,7 +144,6 @@ class ServeEngine : NonCopyable {
   std::condition_variable pin_cv_;
   std::uint64_t pins_in_use_ = 0;
 
-  std::uint32_t covering_row_bytes_ = 0;
   std::uint32_t staging_row_bytes_ = 0;  ///< per staging slot (>= a segment)
   std::uint32_t staging_rows_ = 0;       ///< staging slots per worker
   PinnedBytes staging_pin_;

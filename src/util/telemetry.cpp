@@ -1,7 +1,6 @@
 #include "util/telemetry.hpp"
 
 #include <algorithm>
-#include <iterator>
 
 #include "obs/attribution.hpp"
 #include "obs/metrics.hpp"
@@ -31,22 +30,15 @@ Telemetry::Telemetry(double bucket_ms, std::size_t max_buckets)
   for (auto& row : cells_) {
     for (auto& cell : row) cell.store(0, std::memory_order_relaxed);
   }
-  static constexpr const char* kFaultNames[] = {
-      "fault.io_errors", "fault.io_retries", "fault.io_timeouts",
-      "fault.failed_batches"};
-  static_assert(std::size(kFaultNames) ==
-                static_cast<std::size_t>(FaultCounter::kCount));
-  for (int i = 0; i < static_cast<int>(FaultCounter::kCount); ++i) {
-    fault_counters_[i] = &metrics_->counter(kFaultNames[i]);
+  // Components add to the fault.* counters; registering them here keeps
+  // them on /metrics (at zero) before the first fault.
+  for (const char* name : {"fault.io_errors", "fault.io_retries",
+                           "fault.io_timeouts", "fault.failed_batches"}) {
+    metrics_->counter(name);
   }
 }
 
 Telemetry::~Telemetry() = default;
-
-void Telemetry::count(FaultCounter c, std::uint64_t n) {
-  counters_[static_cast<int>(c)].fetch_add(n, std::memory_order_relaxed);
-  fault_counters_[static_cast<int>(c)]->add(n);
-}
 
 void Telemetry::set_tracing(bool on) { tracer_->set_enabled(on); }
 bool Telemetry::tracing() const { return tracer_->enabled(); }

@@ -18,7 +18,6 @@
 namespace gnndrive {
 
 class BottleneckAttributor;
-class Counter;
 class MetricsRegistry;
 class SloWatcher;
 class SpanTracer;
@@ -29,16 +28,6 @@ enum class TraceCat : int {
   kIoWait = 1,    ///< Thread blocked waiting for storage I/O completion.
   kGpuBusy = 2,   ///< Simulated GPU executing compute or copies.
   kCount = 3,
-};
-
-/// Monotonic event counters for the fault-tolerance layer, so benches can
-/// print fault-mode summaries next to the utilization series.
-enum class FaultCounter : int {
-  kIoErrors = 0,      ///< error CQEs observed by ring consumers
-  kIoRetries = 1,     ///< reads re-submitted after a transient failure
-  kIoTimeouts = 2,    ///< requests cancelled by a stage watchdog
-  kFailedBatches = 3, ///< mini-batches abandoned after exhausting retries
-  kCount = 4,
 };
 
 /// One activity trace. Not a singleton: each experiment owns one and wires it
@@ -70,13 +59,6 @@ class Telemetry {
 
   /// Total seconds recorded per category (for summary ratios).
   double total_seconds(TraceCat cat) const;
-
-  /// Fault/retry/timeout counters (independent of start(); always active).
-  /// Also mirrored into the metrics registry under "fault.*" names.
-  void count(FaultCounter c, std::uint64_t n = 1);
-  std::uint64_t counter(FaultCounter c) const {
-    return counters_[static_cast<int>(c)].load(std::memory_order_relaxed);
-  }
 
   // -- Observability subsystem (src/obs) ------------------------------------
   // The telemetry object is the one handle every component already receives,
@@ -121,16 +103,11 @@ class Telemetry {
   std::atomic<std::size_t> hi_bucket_{0};
   // nanoseconds per (bucket, category)
   std::vector<std::array<std::atomic<std::uint64_t>, 3>> cells_;
-  std::array<std::atomic<std::uint64_t>, static_cast<int>(FaultCounter::kCount)>
-      counters_{};
   std::unique_ptr<MetricsRegistry> metrics_;
   std::unique_ptr<SpanTracer> tracer_;
   std::unique_ptr<TimeSeriesSampler> sampler_;
   std::unique_ptr<BottleneckAttributor> attributor_;
   std::unique_ptr<SloWatcher> slo_;
-  /// Registry mirrors of the FaultCounter slots, resolved at construction.
-  std::array<Counter*, static_cast<int>(FaultCounter::kCount)>
-      fault_counters_{};
 };
 
 /// Thread-local accumulator of I/O-wait seconds, so compute scopes can

@@ -1,7 +1,8 @@
 // Coalesced extraction fast path (core/extract.hpp): planner properties,
 // differential byte-identity between coalesce=on and the per-node baseline
 // (training and serving paths), batched feature-buffer APIs, and per-segment
-// failure granularity under injected faults.
+// failure granularity under injected faults. The extraction tests run both
+// memory targets: host staging rows and device rows under GPUDirect Storage.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,14 +16,6 @@
 
 namespace gnndrive {
 namespace {
-
-// Covering read length for one row at the worst sector phase.
-std::uint32_t covering_bytes(std::uint32_t row_bytes) {
-  return row_bytes % kSectorSize == 0
-             ? row_bytes
-             : static_cast<std::uint32_t>(round_up(row_bytes, kSectorSize)) +
-                   kSectorSize;
-}
 
 OnDiskLayout fake_layout(std::uint32_t row_bytes, std::uint64_t num_nodes) {
   OnDiskLayout lay;
@@ -85,7 +78,7 @@ TEST(CoalescePlanner, RandomLayoutsSatisfyInvariants) {
       co.max_rows_per_read = 1 + rng() % 48;
       co.max_gap_bytes = (rng() % 4) * 2048;
       const std::uint32_t max_bytes =
-          staging_row_bytes_for(co, covering_bytes(row_bytes));
+          staging_row_bytes_for(co, covering_row_bytes(row_bytes, kSectorSize));
       std::vector<NodeId> nodes(1 + rng() % 400);
       for (auto& v : nodes) v = rng() % 100000;
       std::vector<std::uint32_t> load_idx(nodes.size());
@@ -104,8 +97,9 @@ TEST(CoalescePlanner, SingleRowCapDegeneratesToPerNodeReads) {
   const OnDiskLayout lay = fake_layout(row_bytes, 5000);
   std::vector<NodeId> nodes = {10, 11, 12, 13, 999, 1000};
   std::vector<std::uint32_t> load_idx = {0, 1, 2, 3, 4, 5};
-  const SegmentPlan plan = plan_segments(load_idx, nodes, lay, row_bytes,
-                                         covering_bytes(row_bytes), 1, 0);
+  const SegmentPlan plan =
+      plan_segments(load_idx, nodes, lay, row_bytes,
+                    covering_row_bytes(row_bytes, kSectorSize), 1, 0);
   ASSERT_EQ(plan.segments.size(), nodes.size());
   for (const auto& seg : plan.segments) EXPECT_EQ(seg.num_rows, 1u);
 }
@@ -163,6 +157,32 @@ TEST(CoalescePlanner, DuplicateOffsetsShareASegment) {
 
 // -- Differential extraction harness ----------------------------------------
 
+// Where extraction stages its reads: host rows scattered by memcpy, or
+// device rows under GPUDirect Storage (4 KiB reads, on-device copies).
+enum class Target { kStaging, kGds };
+constexpr Target kTargets[] = {Target::kStaging, Target::kGds};
+
+const char* target_name(Target target) {
+  return target == Target::kGds ? "target=gds" : "target=staging";
+}
+
+std::uint32_t read_align(Target target) {
+  return target == Target::kGds ? kPageSize : kSectorSize;
+}
+
+// Bytes of one `align`-aligned read per node: the uncoalesced I/O shape.
+std::uint64_t per_row_read_bytes(const OnDiskLayout& lay,
+                                 const std::vector<NodeId>& nodes,
+                                 std::uint32_t align) {
+  std::uint64_t bytes = 0;
+  for (const NodeId v : nodes) {
+    const std::uint64_t off = lay.feature_offset_of(v);
+    bytes += round_up(off + lay.feature_row_bytes, align) -
+             round_down(off, align);
+  }
+  return bytes;
+}
+
 // Stand-alone Algorithm-1 run over an explicit node list: triage ->
 // extract_load_set -> resolve_wait_list -> copy out -> release. Mirrors how
 // GnnDrive::extract_batch and ServeEngine::extract_batch drive the shared
@@ -171,9 +191,11 @@ struct GatherResult {
   bool ok = false;
   ExtractCounters counters;
   std::vector<float> data;  ///< nodes.size() x dim, valid rows only when ok
+  std::uint64_t ssd_reads = 0;
+  std::uint64_t ssd_bytes = 0;
 };
 
-GatherResult gather(Dataset& ds, const CoalesceConfig& co,
+GatherResult gather(Dataset& ds, Target target, const CoalesceConfig& co,
                     const std::vector<NodeId>& nodes,
                     const SsdFaultConfig* faults = nullptr,
                     std::uint32_t max_retries = 3,
@@ -190,9 +212,11 @@ GatherResult gather(Dataset& ds, const CoalesceConfig& co,
       static_cast<std::uint32_t>(ds.layout().feature_row_bytes);
   FeatureBuffer fb(FeatureBufferConfig{nodes.size() + 64, dim},
                    ds.spec().num_nodes, telemetry);
+  std::unique_ptr<GpuDevice> gpu;
+  if (target == Target::kGds) gpu = std::make_unique<GpuDevice>(GpuConfig{});
 
-  const std::uint32_t staging_row_bytes =
-      staging_row_bytes_for(co, covering_bytes(row_bytes));
+  const std::uint32_t staging_row_bytes = staging_row_bytes_for(
+      co, covering_row_bytes(row_bytes, read_align(target)));
   const std::uint32_t staging_rows = staging_rows_for(co, 64);
   std::vector<std::uint8_t> staging(
       static_cast<std::size_t>(staging_rows) * staging_row_bytes);
@@ -219,7 +243,9 @@ GatherResult gather(Dataset& ds, const CoalesceConfig& co,
   env.staging_base = staging.data();
   env.staging_row_bytes = staging_row_bytes;
   env.staging_rows = staging_rows;
+  env.gpu = gpu.get();
   env.telemetry = telemetry;
+  env.gds = target == Target::kGds;
 
   ExtractPolicy policy;
   policy.coalesce = co;
@@ -258,6 +284,11 @@ GatherResult gather(Dataset& ds, const CoalesceConfig& co,
   }
   EXPECT_EQ(fb.standby_size(), fb.num_slots());
   EXPECT_EQ(ring.in_flight(), 0u);
+  if (hooks.staging_in_use != nullptr) {
+    EXPECT_EQ(hooks.staging_in_use->value(), 0);
+  }
+  out.ssd_reads = ssd->stats().reads;
+  out.ssd_bytes = ssd->stats().bytes_read;
   return out;
 }
 
@@ -291,24 +322,31 @@ TEST(CoalesceDifferential, ByteIdenticalAcrossDimsAndLayouts) {
       CoalesceConfig off;
       off.enabled = false;
 
-      const GatherResult a = gather(ds, on, nodes);
-      const GatherResult b = gather(ds, off, nodes);
-      ASSERT_TRUE(a.ok);
-      ASSERT_TRUE(b.ok);
       const std::vector<float> truth = ground_truth(ds, nodes);
-      ASSERT_EQ(a.data.size(), truth.size());
-      EXPECT_EQ(std::memcmp(a.data.data(), b.data.data(),
-                            a.data.size() * sizeof(float)),
-                0)
-          << "dim " << dim;
-      EXPECT_EQ(std::memcmp(a.data.data(), truth.data(),
-                            a.data.size() * sizeof(float)),
-                0)
-          << "dim " << dim;
-      // The baseline reads once per node; coalescing must not read more.
-      EXPECT_EQ(b.counters.segments, nodes.size());
-      EXPECT_LE(a.counters.segments, b.counters.segments);
-      EXPECT_EQ(a.counters.rows_loaded, nodes.size());
+      for (const Target target : kTargets) {
+        SCOPED_TRACE(target_name(target));
+        const GatherResult a = gather(ds, target, on, nodes);
+        const GatherResult b = gather(ds, target, off, nodes);
+        ASSERT_TRUE(a.ok);
+        ASSERT_TRUE(b.ok);
+        ASSERT_EQ(a.data.size(), truth.size());
+        EXPECT_EQ(std::memcmp(a.data.data(), b.data.data(),
+                              a.data.size() * sizeof(float)),
+                  0)
+            << "dim " << dim;
+        EXPECT_EQ(std::memcmp(a.data.data(), truth.data(),
+                              a.data.size() * sizeof(float)),
+                  0)
+            << "dim " << dim;
+        // The baseline reads once per node at the target's alignment;
+        // coalescing must not read more.
+        EXPECT_EQ(b.counters.segments, nodes.size());
+        EXPECT_EQ(b.ssd_reads, nodes.size());
+        EXPECT_EQ(b.ssd_bytes,
+                  per_row_read_bytes(ds.layout(), nodes, read_align(target)));
+        EXPECT_LE(a.counters.segments, b.counters.segments);
+        EXPECT_EQ(a.counters.rows_loaded, nodes.size());
+      }
     }
   }
 }
@@ -329,41 +367,41 @@ TEST(CoalesceDifferential, DuplicateHeavyBatch) {
   CoalesceConfig on;
   CoalesceConfig off;
   off.enabled = false;
-  const GatherResult a = gather(ds, on, nodes);
-  const GatherResult b = gather(ds, off, nodes);
-  ASSERT_TRUE(a.ok);
-  ASSERT_TRUE(b.ok);
   const std::vector<float> truth = ground_truth(ds, nodes);
-  EXPECT_EQ(std::memcmp(a.data.data(), truth.data(),
-                        truth.size() * sizeof(float)),
-            0);
-  EXPECT_EQ(std::memcmp(b.data.data(), truth.data(),
-                        truth.size() * sizeof(float)),
-            0);
+  for (const Target target : kTargets) {
+    SCOPED_TRACE(target_name(target));
+    const GatherResult a = gather(ds, target, on, nodes);
+    const GatherResult b = gather(ds, target, off, nodes);
+    ASSERT_TRUE(a.ok);
+    ASSERT_TRUE(b.ok);
+    EXPECT_EQ(std::memcmp(a.data.data(), truth.data(),
+                          truth.size() * sizeof(float)),
+              0);
+    EXPECT_EQ(std::memcmp(b.data.data(), truth.data(),
+                          truth.size() * sizeof(float)),
+              0);
+  }
 }
 
 TEST(CoalesceDifferential, MetricsHooksCountSegmentsAndRows) {
   Dataset ds = Dataset::build(toy_spec(128));
-  Telemetry telemetry;
-  MetricsRegistry* reg = telemetry.metrics();
-  ASSERT_NE(reg, nullptr);
-  ExtractMetricHooks hooks;
-  hooks.segments = &reg->counter("io.coalesce.segments");
-  hooks.rows = &reg->counter("io.coalesce.rows");
-  hooks.rows_per_read = &reg->histogram("io.coalesce.rows_per_read");
-
   std::vector<NodeId> nodes;
   for (NodeId v = 500; v < 700; ++v) nodes.push_back(v);
   CoalesceConfig on;
-  const GatherResult r =
-      gather(ds, on, nodes, nullptr, 3, 250.0, &telemetry, hooks);
-  ASSERT_TRUE(r.ok);
-  EXPECT_EQ(hooks.segments->value(), r.counters.segments);
-  EXPECT_EQ(hooks.rows->value(), r.counters.rows_loaded);
-  EXPECT_EQ(hooks.rows_per_read->count(), r.counters.segments);
-  EXPECT_EQ(r.counters.rows_loaded, nodes.size());
-  // 200 consecutive 512 B rows under the default caps: 32-row segments.
-  EXPECT_LE(r.counters.segments, div_ceil(nodes.size(), 32) + 1);
+  for (const Target target : kTargets) {
+    SCOPED_TRACE(target_name(target));
+    Telemetry telemetry;
+    const ExtractMetricHooks hooks = extract_metric_hooks(&telemetry);
+    const GatherResult r =
+        gather(ds, target, on, nodes, nullptr, 3, 250.0, &telemetry, hooks);
+    ASSERT_TRUE(r.ok);
+    EXPECT_EQ(hooks.segments->value(), r.counters.segments);
+    EXPECT_EQ(hooks.rows->value(), r.counters.rows_loaded);
+    EXPECT_EQ(hooks.rows_per_read->count(), r.counters.segments);
+    EXPECT_EQ(r.counters.rows_loaded, nodes.size());
+    // 200 consecutive 512 B rows under the default caps: 32-row segments.
+    EXPECT_LE(r.counters.segments, div_ceil(nodes.size(), 32) + 1);
+  }
 }
 
 // -- Batched feature-buffer APIs --------------------------------------------
@@ -442,18 +480,22 @@ TEST(CoalesceFaults, BadRangeFailsOnlyItsSegmentNodes) {
       {lay.feature_offset_of(doomed.front()),
        lay.feature_offset_of(doomed.back()) + lay.feature_row_bytes});
 
-  for (const bool enabled : {true, false}) {
-    CoalesceConfig co;
-    co.enabled = enabled;
-    SCOPED_TRACE(enabled ? "coalesce=on" : "coalesce=off");
-    const GatherResult r = gather(ds, co, all, &faults, 2);
-    EXPECT_FALSE(r.ok);
-    EXPECT_GT(r.counters.io_errors, 0u);
-    // Failure granularity is the segment: nodes sharing no bytes with the
-    // bad range load fine, the doomed ones are marked failed (and reset at
-    // release, which gather() verified).
-    const GatherResult healthy_only = gather(ds, co, healthy, &faults);
-    EXPECT_TRUE(healthy_only.ok);
+  for (const Target target : kTargets) {
+    for (const bool enabled : {true, false}) {
+      CoalesceConfig co;
+      co.enabled = enabled;
+      SCOPED_TRACE(target_name(target));
+      SCOPED_TRACE(enabled ? "coalesce=on" : "coalesce=off");
+      const GatherResult r = gather(ds, target, co, all, &faults, 2);
+      EXPECT_FALSE(r.ok);
+      EXPECT_GT(r.counters.io_errors, 0u);
+      // Failure granularity is the segment: nodes sharing no bytes with the
+      // bad range load fine, the doomed ones are marked failed (and reset
+      // at release, which gather() verified).
+      const GatherResult healthy_only =
+          gather(ds, target, co, healthy, &faults);
+      EXPECT_TRUE(healthy_only.ok);
+    }
   }
 }
 
@@ -467,23 +509,34 @@ TEST(CoalesceFaults, TransientEioRecoversThroughSegmentRetries) {
   for (NodeId v = 0; v < 300; ++v) nodes.push_back(v * 3);
   const std::vector<float> truth = ground_truth(ds, nodes);
 
-  for (const bool enabled : {true, false}) {
-    CoalesceConfig co;
-    co.enabled = enabled;
-    SCOPED_TRACE(enabled ? "coalesce=on" : "coalesce=off");
-    const GatherResult r = gather(ds, co, nodes, &faults, 8);
-    ASSERT_TRUE(r.ok);
-    EXPECT_GT(r.counters.io_errors, 0u);
-    EXPECT_GT(r.counters.io_retries, 0u);
-    // io_recovered counts segments that eventually succeeded; io_errors
-    // counts every failed attempt, so a doubly-unlucky segment recovers
-    // once but errors twice.
-    EXPECT_GT(r.counters.io_recovered, 0u);
-    EXPECT_LE(r.counters.io_recovered, r.counters.io_errors);
-    // Retried segments keep their staging row and redeliver exact bytes.
-    EXPECT_EQ(std::memcmp(r.data.data(), truth.data(),
-                          truth.size() * sizeof(float)),
-              0);
+  for (const Target target : kTargets) {
+    for (const bool enabled : {true, false}) {
+      CoalesceConfig co;
+      co.enabled = enabled;
+      SCOPED_TRACE(target_name(target));
+      SCOPED_TRACE(enabled ? "coalesce=on" : "coalesce=off");
+      Telemetry telemetry;
+      const ExtractMetricHooks hooks = extract_metric_hooks(&telemetry);
+      const GatherResult r = gather(ds, target, co, nodes, &faults, 8, 250.0,
+                                    &telemetry, hooks);
+      ASSERT_TRUE(r.ok);
+      EXPECT_GT(r.counters.io_errors, 0u);
+      EXPECT_GT(r.counters.io_retries, 0u);
+      // io_recovered counts segments that eventually succeeded; io_errors
+      // counts every failed attempt, so a doubly-unlucky segment recovers
+      // once but errors twice.
+      EXPECT_GT(r.counters.io_recovered, 0u);
+      EXPECT_LE(r.counters.io_recovered, r.counters.io_errors);
+      // The ring and the loop count the same faults into the registry.
+      MetricsRegistry& reg = *telemetry.metrics();
+      EXPECT_EQ(reg.counter("fault.io_errors").value(), r.counters.io_errors);
+      EXPECT_EQ(reg.counter("fault.io_retries").value(),
+                r.counters.io_retries);
+      // Retried segments keep their staging row and redeliver exact bytes.
+      EXPECT_EQ(std::memcmp(r.data.data(), truth.data(),
+                            truth.size() * sizeof(float)),
+                0);
+    }
   }
 }
 
@@ -496,9 +549,12 @@ TEST(CoalesceFaults, StuckSegmentsCancelledByWatchdog) {
   std::vector<NodeId> nodes;
   for (NodeId v = 0; v < 32; ++v) nodes.push_back(v);
   CoalesceConfig co;
-  const GatherResult r = gather(ds, co, nodes, &faults, 1, 20.0);
-  EXPECT_FALSE(r.ok);
-  EXPECT_GT(r.counters.io_timeouts, 0u);
+  for (const Target target : kTargets) {
+    SCOPED_TRACE(target_name(target));
+    const GatherResult r = gather(ds, target, co, nodes, &faults, 1, 20.0);
+    EXPECT_FALSE(r.ok);
+    EXPECT_GT(r.counters.io_timeouts, 0u);
+  }
 }
 
 // -- IoRing request-length validation ----------------------------------------
@@ -536,7 +592,7 @@ TEST(CoalesceIoRing, OversizedAndZeroLengthReadsFailEinval) {
 TEST(CoalesceEndToEnd, TrainingFeaturesExactAndReadsDropWithCoalescing) {
   Dataset ds = Dataset::build(toy_spec(128));
 
-  const auto run = [&](bool enabled, std::uint64_t* reads,
+  const auto run = [&](Target target, bool enabled, std::uint64_t* reads,
                        std::uint64_t* loads, EpochObs* obs) {
     SsdConfig ssd_cfg;
     ssd_cfg.read_latency_us = 20.0;
@@ -554,6 +610,7 @@ TEST(CoalesceEndToEnd, TrainingFeaturesExactAndReadsDropWithCoalescing) {
     cfg.num_extractors = 1;
     cfg.feature_buffer_scale = 0.05;
     cfg.coalesce.enabled = enabled;
+    cfg.gds_mode = target == Target::kGds;
     GnnDrive system(ctx, cfg);
     system.run_epoch(100);  // warm: topology resident in the page cache
     ssd->reset_stats();
@@ -579,24 +636,27 @@ TEST(CoalesceEndToEnd, TrainingFeaturesExactAndReadsDropWithCoalescing) {
     EXPECT_GT(checked, 100u);
   };
 
-  std::uint64_t reads_on = 0, loads_on = 0, reads_off = 0, loads_off = 0;
-  EpochObs obs_on{}, obs_off{};
-  run(true, &reads_on, &loads_on, &obs_on);
-  run(false, &reads_off, &loads_off, &obs_off);
+  for (const Target target : kTargets) {
+    SCOPED_TRACE(target_name(target));
+    std::uint64_t reads_on = 0, loads_on = 0, reads_off = 0, loads_off = 0;
+    EpochObs obs_on{}, obs_off{};
+    run(target, true, &reads_on, &loads_on, &obs_on);
+    run(target, false, &reads_off, &loads_off, &obs_off);
 
-  // Same training plan both ways (deterministic seeds). Under capacity
-  // misses the completion order shifts LRU eviction slightly, so load
-  // counts match within a few percent rather than exactly.
-  const double load_gap =
-      std::abs(static_cast<double>(loads_on) - static_cast<double>(loads_off));
-  EXPECT_LT(load_gap, 0.05 * static_cast<double>(loads_off));
-  EXPECT_EQ(obs_on.io_rows, loads_on);
-  EXPECT_EQ(obs_off.io_rows, loads_off);
-  EXPECT_EQ(obs_off.io_segments, loads_off);  // baseline: one read per node
-  // Coalescing must actually merge: the acceptance bar is >= 2x fewer SSD
-  // read requests for the same trained epoch.
-  EXPECT_GT(obs_on.rows_per_read(), 2.0);
-  EXPECT_LT(2 * reads_on, reads_off);
+    // Same training plan both ways (deterministic seeds). Under capacity
+    // misses the completion order shifts LRU eviction slightly, so load
+    // counts match within a few percent rather than exactly.
+    const double load_gap = std::abs(static_cast<double>(loads_on) -
+                                     static_cast<double>(loads_off));
+    EXPECT_LT(load_gap, 0.05 * static_cast<double>(loads_off));
+    EXPECT_EQ(obs_on.io_rows, loads_on);
+    EXPECT_EQ(obs_off.io_rows, loads_off);
+    EXPECT_EQ(obs_off.io_segments, loads_off);  // baseline: one read per node
+    // Coalescing must actually merge: the acceptance bar is >= 2x fewer SSD
+    // read requests for the same trained epoch.
+    EXPECT_GT(obs_on.rows_per_read(), 2.0);
+    EXPECT_LT(2 * reads_on, reads_off);
+  }
 }
 
 // -- End-to-end differential: serving ----------------------------------------

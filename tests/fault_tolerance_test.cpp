@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/pipeline.hpp"
+#include "obs/metrics.hpp"
 #include "serve/engine.hpp"
 
 namespace gnndrive {
@@ -49,6 +50,11 @@ struct FaultSoak : ::testing::Test {
     env.ctx = RunContext{dataset, env.ssd.get(), env.mem.get(),
                          env.cache.get(), env.telemetry.get()};
     return env;
+  }
+
+  /// The registry's cross-stage fault.* counters.
+  static std::uint64_t fault_count(const Env& env, const char* name) {
+    return env.telemetry->metrics()->counter(name).value();
   }
 
   GnnDriveConfig base_config() {
@@ -101,8 +107,8 @@ TEST_F(FaultSoak, CleanEpochReportsZeroFaults) {
   EXPECT_EQ(stats.result.io_errors, 0u);
   EXPECT_EQ(stats.result.io_retries, 0u);
   EXPECT_EQ(stats.result.io_timeouts, 0u);
-  EXPECT_EQ(env.telemetry->counter(FaultCounter::kIoErrors), 0u);
-  EXPECT_EQ(env.telemetry->counter(FaultCounter::kFailedBatches), 0u);
+  EXPECT_EQ(fault_count(env, "fault.io_errors"), 0u);
+  EXPECT_EQ(fault_count(env, "fault.failed_batches"), 0u);
   expect_no_leaks(system);
 }
 
@@ -137,9 +143,9 @@ TEST_F(FaultSoak, EpochSurvivesEioAndLatencySpikes) {
 
   // Retries surface in telemetry too (the page cache's own retries for
   // sampling I/O land on top of the extract-stage count).
-  EXPECT_GE(env.telemetry->counter(FaultCounter::kIoRetries),
+  EXPECT_GE(fault_count(env, "fault.io_retries"),
             stats.result.io_retries);
-  EXPECT_GE(env.telemetry->counter(FaultCounter::kIoErrors),
+  EXPECT_GE(fault_count(env, "fault.io_errors"),
             stats.result.io_errors);
 
   expect_byte_exact_features(system);
@@ -175,7 +181,7 @@ TEST_F(FaultSoak, WatchdogCancelsStuckRequestsWithinTimeout) {
   EXPECT_GT(stats.result.io_timeouts, 0u);
   EXPECT_GT(env.ssd->stats().injected_stuck, 0u);
   EXPECT_GT(env.ssd->stats().cancelled, 0u);
-  EXPECT_GE(env.telemetry->counter(FaultCounter::kIoTimeouts), 1u);
+  EXPECT_GE(fault_count(env, "fault.io_timeouts"), 1u);
   EXPECT_LT(elapsed, 120.0);
 
   expect_byte_exact_features(system);
@@ -214,7 +220,7 @@ TEST_F(FaultSoak, BadSectorRangeFailsOnlyAffectedBatches) {
   EXPECT_FALSE(stats.result.ok());
   EXPECT_GT(stats.result.trained_batches, 0u);
   EXPECT_GT(stats.result.io_errors, 0u);
-  EXPECT_EQ(env.telemetry->counter(FaultCounter::kFailedBatches),
+  EXPECT_EQ(fault_count(env, "fault.failed_batches"),
             stats.result.failed_batches);
 
   expect_byte_exact_features(system);

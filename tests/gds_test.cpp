@@ -78,6 +78,39 @@ TEST_F(GdsFixture, NoHostStagingPinned) {
   EXPECT_LT(env_gds.mem->pinned(), env_std.mem->pinned());
   EXPECT_LT(env_gds.mem->pinned(),
             dataset->host_metadata_bytes() + (64 << 10));
+  // The staging rows move to the device instead, within the per-row GDS
+  // bounce budget: one covering block (the row rounded up to 4 KiB, plus
+  // 4 KiB) per ring slot and extractor. Device memory is not the limit
+  // here, so the feature buffer keeps the staging path's size.
+  ASSERT_EQ(gds.feature_buffer().num_slots(),
+            standard.feature_buffer().num_slots());
+  const std::uint64_t device_staging =
+      gds.gpu()->allocated() - standard.gpu()->allocated();
+  const std::uint64_t row_bytes = dataset->layout().feature_row_bytes;
+  EXPECT_GT(device_staging, 0u);
+  EXPECT_LE(device_staging, std::uint64_t{gds.effective_extractors()} *
+                                gds.config().ring_depth *
+                                (round_up(row_bytes, kPageSize) + kPageSize));
+}
+
+TEST_F(GdsFixture, DeviceCappedFeatureBufferLeavesActivationHeadroom) {
+  // The device staging rows are charged before the feature buffer is
+  // sized. Allocated after a buffer sized to fill the device, they used to
+  // take the headroom reserved for per-batch activations: construction or
+  // the first trained batch ran out of device memory.
+  auto env = make_env();
+  GnnDriveConfig cfg = config();
+  cfg.gpu.device_memory_bytes = 16ull << 20;
+  cfg.feature_buffer_scale = 2.0;
+  GnnDrive system(env.ctx, cfg);
+  const std::uint64_t desired =
+      (system.effective_extractors() + cfg.train_queue_cap) *
+      system.max_batch_nodes() * 2;
+  ASSERT_LT(system.feature_buffer().num_slots(), desired)
+      << "the feature buffer must be capped by device memory";
+  const EpochStats stats = system.run_epoch(0);
+  EXPECT_EQ(stats.result.failed_batches, 0u);
+  EXPECT_EQ(stats.result.trained_batches, stats.batches);
 }
 
 TEST_F(GdsFixture, TrainsToSameAccuracyAsStandardMode) {

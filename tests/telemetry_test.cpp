@@ -2,8 +2,14 @@
 // accounting, queue reopen, env knobs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cerrno>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
+#include "aio/io_ring.hpp"
 #include "memsim/page_cache.hpp"
 #include "obs/metrics.hpp"
 #include "storage/ssd.hpp"
@@ -118,23 +124,47 @@ TEST(Telemetry, IntervalsBeforeStartAreDropped) {
 }
 
 TEST(Telemetry, FaultCountersCountAndMirrorIntoRegistry) {
+  // The fault.* counters live in the registry alone: listed at zero from
+  // construction, so /metrics shows them before the first fault, then
+  // added to by the components that observe faults.
   Telemetry tel;
-  // Active without start(), and additive.
-  tel.count(FaultCounter::kIoErrors);
-  tel.count(FaultCounter::kIoErrors, 2);
-  tel.count(FaultCounter::kIoRetries, 5);
-  tel.count(FaultCounter::kIoTimeouts);
-  tel.count(FaultCounter::kFailedBatches, 3);
-  EXPECT_EQ(tel.counter(FaultCounter::kIoErrors), 3u);
-  EXPECT_EQ(tel.counter(FaultCounter::kIoRetries), 5u);
-  EXPECT_EQ(tel.counter(FaultCounter::kIoTimeouts), 1u);
-  EXPECT_EQ(tel.counter(FaultCounter::kFailedBatches), 3u);
-  // The same values are visible as registry counters under fault.* names.
   MetricsRegistry& reg = *tel.metrics();
-  EXPECT_EQ(reg.counter("fault.io_errors").value(), 3u);
-  EXPECT_EQ(reg.counter("fault.io_retries").value(), 5u);
+  const auto snap = reg.snapshot();
+  for (const std::string name : {"fault.io_errors", "fault.io_retries",
+                                 "fault.io_timeouts", "fault.failed_batches"}) {
+    const auto it = std::find_if(
+        snap.counters.begin(), snap.counters.end(),
+        [&](const auto& counter) { return counter.first == name; });
+    ASSERT_NE(it, snap.counters.end()) << name;
+    EXPECT_EQ(it->second, 0u) << name;
+  }
+
+  auto image = std::make_shared<MemBackend>(64 * kPageSize);
+  SsdDevice ssd(SsdConfig{}, image);
+  SsdFaultConfig faults;
+  faults.enabled = true;
+  faults.eio_probability = 1.0;
+  ssd.set_fault_config(faults);
+  // The page cache tries a failing synchronous read four times.
+  HostMemory mem(32 * kPageSize);
+  PageCache cache(mem, ssd, &tel);
+  std::uint8_t buf[8];
+  EXPECT_THROW(cache.read(0, sizeof(buf), buf), std::runtime_error);
+  EXPECT_EQ(reg.counter("fault.io_errors").value(), 4u);
+  EXPECT_EQ(reg.counter("fault.io_retries").value(), 3u);
+
+  // A ring counts a watchdog cancellation as a timeout and an error.
+  faults.eio_probability = 0.0;
+  faults.stuck_probability = 1.0;
+  ssd.set_fault_config(faults);
+  IoRing ring(ssd, IoRingConfig{}, nullptr, &tel);
+  std::vector<std::uint8_t> page(kPageSize);
+  ASSERT_TRUE(ring.prep_read(0, kPageSize, page.data(), 1));
+  ring.submit();
+  EXPECT_EQ(ring.cancel_expired(Duration::zero()), 1u);
+  EXPECT_EQ(ring.wait_cqe().res, -ETIMEDOUT);
   EXPECT_EQ(reg.counter("fault.io_timeouts").value(), 1u);
-  EXPECT_EQ(reg.counter("fault.failed_batches").value(), 3u);
+  EXPECT_EQ(reg.counter("fault.io_errors").value(), 5u);
 }
 
 TEST(EnvKnobs, DefaultsAndParsing) {

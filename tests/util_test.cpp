@@ -1,4 +1,4 @@
-// Unit tests for util: bounded queue, LRU list, thread pool, stats,
+// Unit tests for util: bounded queue, LRU list, stats,
 // telemetry bucketing.
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/telemetry.hpp"
-#include "util/thread_pool.hpp"
 
 namespace gnndrive {
 namespace {
@@ -353,21 +352,6 @@ TEST(IndexedLru, ContainsSingleton) {
   EXPECT_TRUE(lru.contains(0));
   lru.remove(0);
   EXPECT_FALSE(lru.contains(0));
-}
-
-TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) pool.submit([&] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, ParallelForCoversRange) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(257);
-  pool.parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(RunningStat, Moments) {
