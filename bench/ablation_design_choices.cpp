@@ -27,7 +27,7 @@ double run_variant(const char* label, const Dataset& dataset,
   tweak(cfg);
   GnnDrive system(env.ctx, cfg);
   system.run_epoch(1000);  // warm-up
-  env.ssd->reset_stats();
+  const auto reads_before = env.ssd->stats().reads;
   EpochStats mean;
   const int epochs = measure_epochs();
   for (int e = 0; e < epochs; ++e) {
@@ -41,8 +41,8 @@ double run_variant(const char* label, const Dataset& dataset,
   std::printf("   (loads %llu, reuse %llu, ssd reads/epoch %llu)\n",
               static_cast<unsigned long long>(fb.loads),
               static_cast<unsigned long long>(fb.reuse_hits),
-              static_cast<unsigned long long>(env.ssd->stats().reads /
-                                              epochs));
+              static_cast<unsigned long long>(
+                  (env.ssd->stats().reads - reads_before) / epochs));
   std::fflush(stdout);
   return mean.epoch_seconds;
 }

@@ -74,7 +74,7 @@ Cell run_cell(const Dataset& dataset, const Budget& budget,
     cell.prefetch_reads = env.ssd->stats().reads - reads0;
     system.run_epoch(100);
 
-    env.ssd->reset_stats();
+    const std::uint64_t reads_before = env.ssd->stats().reads;
     const FeatureBufferStats before = system.feature_buffer().stats();
     const int epochs = measure_epochs();
     for (int e = 0; e < epochs; ++e) {
@@ -91,7 +91,7 @@ Cell run_cell(const Dataset& dataset, const Budget& budget,
                         ? static_cast<double>(hits) /
                               static_cast<double>(hits + cell.loads)
                         : 0.0;
-    cell.reads = env.ssd->stats().reads / epochs;
+    cell.reads = (env.ssd->stats().reads - reads_before) / epochs;
     cell.slots = system.feature_buffer().num_slots();
     cell.hot_slots = system.feature_buffer().hot_slots();
     cell.ok = true;

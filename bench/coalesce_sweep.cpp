@@ -44,7 +44,7 @@ Cell run_cell(const Dataset& dataset, std::uint32_t batch_seeds,
     cell.eff = system.effective_extractors();
 
     system.run_epoch(100);  // warm-up: topology resident, buffer primed
-    env.ssd->reset_stats();
+    const auto reads_before = env.ssd->stats().reads;
     const auto loads_before = system.feature_buffer().stats().loads;
 
     const int epochs = measure_epochs();
@@ -56,7 +56,7 @@ Cell run_cell(const Dataset& dataset, std::uint32_t batch_seeds,
       cell.extract_p95_us += stats.obs.extract.p95_us / epochs;
       cell.rows_per_read += stats.obs.rows_per_read() / epochs;
     }
-    cell.reads = env.ssd->stats().reads / epochs;
+    cell.reads = (env.ssd->stats().reads - reads_before) / epochs;
     cell.loads =
         (system.feature_buffer().stats().loads - loads_before) / epochs;
     cell.ok = true;

@@ -60,7 +60,7 @@ Cell run_cell(const Dataset& dataset, const CommonTrainConfig& common) {
       GnnDrive system(env.ctx, cfg);
 
       system.run_epoch(100);  // warm-up: topology resident, buffer primed
-      env.ssd->reset_stats();
+      const auto reads_before = env.ssd->stats().reads;
       const auto loads_before = system.feature_buffer().stats().loads;
 
       const int epochs = measure_epochs();
@@ -70,7 +70,7 @@ Cell run_cell(const Dataset& dataset, const CommonTrainConfig& common) {
         cell.rows_per_read += stats.obs.rows_per_read() / epochs;
         cell.loss += stats.loss / epochs;
       }
-      cell.reads = env.ssd->stats().reads / epochs;
+      cell.reads = (env.ssd->stats().reads - reads_before) / epochs;
       cell.loads =
           (system.feature_buffer().stats().loads - loads_before) / epochs;
     }
@@ -87,10 +87,10 @@ Cell run_cell(const Dataset& dataset, const CommonTrainConfig& common) {
       cfg.common = common;
       PygPlus system(env.ctx, cfg);
       system.run_epoch(100);  // warm-up: page cache at steady state
-      env.ssd->reset_stats();
+      const auto reads_before = env.ssd->stats().reads;
       const int epochs = measure_epochs();
       for (int e = 0; e < epochs; ++e) system.run_epoch(e);
-      cell.mmap_reads = env.ssd->stats().reads / epochs;
+      cell.mmap_reads = (env.ssd->stats().reads - reads_before) / epochs;
     }
     {
       // Hot-partition prefetch (the cache-policy pinned load): profile the
@@ -112,10 +112,10 @@ Cell run_cell(const Dataset& dataset, const CommonTrainConfig& common) {
           FeatureBufferConfig{profile.hot_nodes.size() + 256,
                               dataset.spec().feature_dim},
           dataset.spec().num_nodes);
-      env.ssd->reset_stats();
+      const auto reads_before = env.ssd->stats().reads;
       prefetch_hot_rows(fb, profile.hot_nodes, dataset, *env.ssd,
                         CoalesceConfig{});
-      cell.prefetch_reads = env.ssd->stats().reads;
+      cell.prefetch_reads = env.ssd->stats().reads - reads_before;
     }
     {
       // Deterministic trajectory probe: 1 sampler + 1 extractor + CPU

@@ -31,15 +31,12 @@
 #include <vector>
 
 #include "memsim/page_cache.hpp"
+#include "obs/metrics.hpp"
 #include "storage/ssd.hpp"
 #include "util/common.hpp"
 #include "util/telemetry.hpp"
 
 namespace gnndrive {
-
-class Counter;
-class ConcurrentHistogram;
-class Gauge;
 
 struct Cqe {
   std::uint64_t user_data = 0;
@@ -131,14 +128,16 @@ class IoRing : NonCopyable {
   unsigned in_flight_ = 0;
   unsigned draining_ = 0;  ///< device callbacks still inside complete()
 
-  // Observability (resolved from telemetry's registry; null without it).
-  // Multiple rings share the instruments: counters/histograms aggregate,
-  // the in-flight gauge is updated with deltas so it sums across rings.
-  Counter* m_submitted_ = nullptr;         ///< io.submitted
-  Counter* m_io_errors_ = nullptr;         ///< fault.io_errors
-  Counter* m_io_timeouts_ = nullptr;       ///< fault.io_timeouts
-  ConcurrentHistogram* m_latency_ = nullptr;  ///< io.request_us
-  Gauge* m_inflight_ = nullptr;            ///< io.inflight
+  // Observability, resolved from the telemetry's registry or from
+  // owned_metrics_. Rings sharing a Telemetry share the instruments:
+  // counters/histograms aggregate, the in-flight gauge is updated with
+  // deltas so it sums across rings.
+  std::unique_ptr<MetricsRegistry> owned_metrics_;
+  Counter* m_submitted_;         ///< io.submitted
+  Counter* m_io_errors_;         ///< fault.io_errors
+  Counter* m_io_timeouts_;       ///< fault.io_timeouts
+  ConcurrentHistogram* m_latency_;  ///< io.request_us
+  Gauge* m_inflight_;            ///< io.inflight
 };
 
 }  // namespace gnndrive

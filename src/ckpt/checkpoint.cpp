@@ -336,17 +336,15 @@ CheckpointManager::CheckpointManager(CheckpointConfig config,
     : config_(std::move(config)), telemetry_(telemetry) {
   GD_CHECK_MSG(!config_.dir.empty(), "CheckpointManager needs a directory");
   config_.keep_last = std::max(config_.keep_last, 1u);
-  if (telemetry_ != nullptr) {
-    MetricsRegistry& reg = *telemetry_->metrics();
-    m_writes_ = &reg.counter("ckpt.writes");
-    m_bytes_ = &reg.counter("ckpt.bytes_written");
-    m_restores_ = &reg.counter("ckpt.restores");
-    m_fallbacks_ = &reg.counter("ckpt.fallbacks");
-    m_crashes_ = &reg.counter("ckpt.crashes_injected");
-    m_generation_ = &reg.gauge("ckpt.generation");
-    m_retained_ = &reg.gauge("ckpt.retained");
-    m_write_us_ = &reg.histogram("ckpt.write.us");
-  }
+  MetricsRegistry& reg = registry_or_own(telemetry, owned_metrics_);
+  m_writes_ = &reg.counter("ckpt.writes");
+  m_bytes_ = &reg.counter("ckpt.bytes_written");
+  m_restores_ = &reg.counter("ckpt.restores");
+  m_fallbacks_ = &reg.counter("ckpt.fallbacks");
+  m_crashes_ = &reg.counter("ckpt.crashes_injected");
+  m_generation_ = &reg.gauge("ckpt.generation");
+  m_retained_ = &reg.gauge("ckpt.retained");
+  m_write_us_ = &reg.histogram("ckpt.write.us");
 }
 
 std::string CheckpointManager::data_path(std::uint64_t gen) const {
@@ -393,7 +391,7 @@ void CheckpointManager::crash_point(CkptPhase phase, std::uint64_t gen) {
   try {
     crash_->check(phase, gen);
   } catch (const CrashInjected&) {
-    if (m_crashes_ != nullptr) m_crashes_->add();
+    m_crashes_->add();
     throw;
   }
 }
@@ -498,12 +496,10 @@ std::uint64_t CheckpointManager::write(const TrainCursor& cursor,
   next_generation_ = gen + 1;
 
   const double us = to_seconds(Clock::now() - t0) * 1e6;
-  if (m_writes_ != nullptr) {
-    m_writes_->add();
-    m_bytes_->add(img.size());
-    m_generation_->set(static_cast<std::int64_t>(gen));
-    m_write_us_->add_us(us);
-  }
+  m_writes_->add();
+  m_bytes_->add(img.size());
+  m_generation_->set(static_cast<std::int64_t>(gen));
+  m_write_us_->add_us(us);
   if (telemetry_ != nullptr && telemetry_->tracing()) {
     const TimePoint t1 = Clock::now();
     telemetry_->tracer()->record(kSpanCkptWrite, gen,
@@ -553,10 +549,8 @@ void CheckpointManager::prune(std::uint64_t newest) {
       fs::remove(entry.path(), ec);
     }
   }
-  if (m_retained_ != nullptr) {
-    m_retained_->set(static_cast<std::int64_t>(
-        std::min<std::size_t>(gens.size(), config_.keep_last)));
-  }
+  m_retained_->set(static_cast<std::int64_t>(
+      std::min<std::size_t>(gens.size(), config_.keep_last)));
 }
 
 std::optional<CheckpointManager::LoadResult> CheckpointManager::load_latest(
@@ -598,7 +592,7 @@ std::optional<CheckpointManager::LoadResult> CheckpointManager::load_latest(
     if (!parse_checkpoint(img, gen, parsed)) {
       log_structured(LogLevel::kWarn, "ckpt_corrupt",
                      {kv("generation", gen), kv("bytes", img.size())});
-      if (m_fallbacks_ != nullptr) m_fallbacks_->add();
+      m_fallbacks_->add();
       ++fallbacks;
       continue;
     }
@@ -632,10 +626,8 @@ std::optional<CheckpointManager::LoadResult> CheckpointManager::load_latest(
     }
     if (adam != nullptr && parsed.has_adam) adam->set_timestep(parsed.adam_t);
 
-    if (m_restores_ != nullptr) {
-      m_restores_->add();
-      m_generation_->set(static_cast<std::int64_t>(gen));
-    }
+    m_restores_->add();
+    m_generation_->set(static_cast<std::int64_t>(gen));
     log_structured(LogLevel::kInfo, "ckpt_restore",
                    {kv("generation", gen), kv("epoch", parsed.cursor.epoch),
                     kv("next_batch", parsed.cursor.next_batch),

@@ -29,20 +29,19 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "gnn/model.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace gnndrive {
 
 class Telemetry;
-class Counter;
-class Gauge;
-class ConcurrentHistogram;
 
 /// Checkpoint span name (Chrome-trace row; batch id carries the generation).
 inline constexpr const char* kSpanCkptWrite = "ckpt.write";
@@ -208,15 +207,17 @@ class CheckpointManager {
   CrashInjector* crash_ = nullptr;
   std::uint64_t next_generation_ = 0;  ///< 0 = derive from directory scan
 
-  // ckpt.* observability (all null without telemetry).
-  Counter* m_writes_ = nullptr;       ///< ckpt.writes
-  Counter* m_bytes_ = nullptr;        ///< ckpt.bytes_written
-  Counter* m_restores_ = nullptr;     ///< ckpt.restores
-  Counter* m_fallbacks_ = nullptr;    ///< ckpt.fallbacks
-  Counter* m_crashes_ = nullptr;      ///< ckpt.crashes_injected
-  Gauge* m_generation_ = nullptr;     ///< ckpt.generation
-  Gauge* m_retained_ = nullptr;       ///< ckpt.retained
-  ConcurrentHistogram* m_write_us_ = nullptr;  ///< ckpt.write.us
+  // ckpt.* observability, resolved from the telemetry's registry or from
+  // owned_metrics_.
+  std::unique_ptr<MetricsRegistry> owned_metrics_;
+  Counter* m_writes_;       ///< ckpt.writes
+  Counter* m_bytes_;        ///< ckpt.bytes_written
+  Counter* m_restores_;     ///< ckpt.restores
+  Counter* m_fallbacks_;    ///< ckpt.fallbacks
+  Counter* m_crashes_;      ///< ckpt.crashes_injected
+  Gauge* m_generation_;     ///< ckpt.generation
+  Gauge* m_retained_;       ///< ckpt.retained
+  ConcurrentHistogram* m_write_us_;  ///< ckpt.write.us
   Telemetry* telemetry_ = nullptr;
 };
 

@@ -40,32 +40,27 @@ FeatureBuffer::FeatureBuffer(const FeatureBufferConfig& config,
   for (std::uint64_t s = 0; s < num_slots_; ++s) {
     standby_.push_mru(static_cast<std::uint32_t>(s));
   }
-  if (telemetry != nullptr) {
-    MetricsRegistry& reg = *telemetry->metrics();
-    m_reuse_hits_ = &reg.counter("fb.reuse_hits");
-    m_wait_hits_ = &reg.counter("fb.wait_hits");
-    m_loads_ = &reg.counter("fb.loads");
-    m_slot_waits_ = &reg.counter("fb.slot_waits");
-    m_failed_ = &reg.counter("fb.failed_loads");
-    m_evictions_ = &reg.counter("fb.evictions");
-    m_batch_locks_ = &reg.counter("fb.batch_lock_acquisitions");
-    m_hot_hits_ = &reg.counter("fb.hot.hits");
-    m_standby_ = &reg.gauge("fb.standby");
-    m_standby_->set(static_cast<std::int64_t>(standby_.size()));
-    m_hot_slots_ = &reg.gauge("fb.hot.slots");
-    m_cold_slots_ = &reg.gauge("fb.cold.slots");
-    m_cold_slots_->set(static_cast<std::int64_t>(num_slots_));
-    m_client_lookups_[0] = &reg.counter("fb.train.lookups");
-    m_client_hits_[0] = &reg.counter("fb.train.hits");
-    m_client_lookups_[1] = &reg.counter("fb.serve.lookups");
-    m_client_hits_[1] = &reg.counter("fb.serve.hits");
+  MetricsRegistry& reg = registry_or_own(telemetry, owned_metrics_);
+  for (const FbClient client : {FbClient::kTrain, FbClient::kServe}) {
+    const std::string prefix =
+        client == FbClient::kTrain ? "fb.train." : "fb.serve.";
+    by_client_[static_cast<std::size_t>(client)] = {
+        &reg.counter(prefix + "hot_hits"), &reg.counter(prefix + "reuse_hits"),
+        &reg.counter(prefix + "wait_hits"), &reg.counter(prefix + "loads")};
   }
+  slot_waits_ = &reg.counter("fb.slot_waits");
+  failed_loads_ = &reg.counter("fb.failed_loads");
+  evictions_ = &reg.counter("fb.evictions");
+  batch_locks_ = &reg.counter("fb.batch_lock_acquisitions");
+  standby_gauge_ = &reg.gauge("fb.standby");
+  standby_gauge_->set(static_cast<std::int64_t>(standby_.size()));
+  hot_slots_gauge_ = &reg.gauge("fb.hot.slots");
+  cold_slots_gauge_ = &reg.gauge("fb.cold.slots");
+  cold_slots_gauge_->set(static_cast<std::int64_t>(num_slots_));
 }
 
 void FeatureBuffer::publish_standby_locked() {
-  if (m_standby_ != nullptr) {
-    m_standby_->set(static_cast<std::int64_t>(standby_.size()));
-  }
+  standby_gauge_->set(static_cast<std::int64_t>(standby_.size()));
 }
 
 FeatureBuffer::CheckResult FeatureBuffer::check_and_ref(NodeId node,
@@ -77,8 +72,7 @@ FeatureBuffer::CheckResult FeatureBuffer::check_and_ref(NodeId node,
 void FeatureBuffer::check_and_ref_batch(const NodeId* nodes, std::size_t n,
                                         CheckResult* out, FbClient client) {
   std::lock_guard lock(mu_);
-  ++stats_.batch_lock_acquisitions;
-  if (m_batch_locks_ != nullptr) m_batch_locks_->add();
+  batch_locks_->add();
   for (std::size_t i = 0; i < n; ++i) {
     out[i] = check_and_ref_locked(nodes[i], client);
   }
@@ -87,23 +81,18 @@ void FeatureBuffer::check_and_ref_batch(const NodeId* nodes, std::size_t n,
 FeatureBuffer::CheckResult FeatureBuffer::check_and_ref_locked(
     NodeId node, FbClient client) {
   GD_DCHECK_MSG(node < map_.size(), "check_and_ref on out-of-range node");
-  const auto ci = static_cast<std::size_t>(client);
+  const ClientCounters& counts = by_client_[static_cast<std::size_t>(client)];
   Entry& e = map_[node];
   if (e.pinned) {
     // Hot-partition member: its slot can never be reclaimed, so no
     // reference is taken (release() on it is a symmetric no-op). Callers
     // that pre-filter through hot_slot() never reach here; this path keeps
-    // single-node users (tests, baselines) correct. All hot hits live in
-    // the lock-free atomics so stats() has a single source to merge.
+    // single-node users (tests, baselines) correct.
     GD_CHECK_MSG(e.valid, "pinned entry not valid (prefetch incomplete)");
-    hot_hits_[ci].fetch_add(1, std::memory_order_relaxed);
-    if (m_hot_hits_ != nullptr) m_hot_hits_->add();
-    if (m_client_lookups_[ci] != nullptr) m_client_lookups_[ci]->add();
-    if (m_client_hits_[ci] != nullptr) m_client_hits_[ci]->add();
+    counts.hot_hits->add();
     return {CheckStatus::kReady, e.slot};
   }
   CheckResult result;
-  bool hit = false;
   if (e.valid) {
     GD_CHECK_MSG(e.slot != kNoSlot, "valid entry without slot");
     if (e.ref_count == 0) {
@@ -112,28 +101,18 @@ FeatureBuffer::CheckResult FeatureBuffer::check_and_ref_locked(
       standby_.remove(static_cast<std::uint32_t>(e.slot));
       publish_standby_locked();
     }
-    ++stats_.reuse_hits;
-    ++by_client_[ci].reuse_hits;
-    if (m_reuse_hits_ != nullptr) m_reuse_hits_->add();
+    counts.reuse_hits->add();
     result = {CheckStatus::kReady, e.slot};
-    hit = true;
   } else if (e.ref_count > 0) {
     // Another extractor is loading this node right now (or has marked it
     // failed and its references are still draining — waiters then see the
     // failure from wait_ready and fail their own batch).
-    ++stats_.wait_hits;
-    ++by_client_[ci].wait_hits;
-    if (m_wait_hits_ != nullptr) m_wait_hits_->add();
+    counts.wait_hits->add();
     result = {CheckStatus::kInFlight, e.slot};
-    hit = true;
   } else {
-    ++stats_.loads;
-    ++by_client_[ci].loads;
-    if (m_loads_ != nullptr) m_loads_->add();
+    counts.loads->add();
     result = {CheckStatus::kMustLoad, kNoSlot};
   }
-  if (m_client_lookups_[ci] != nullptr) m_client_lookups_[ci]->add();
-  if (hit && m_client_hits_[ci] != nullptr) m_client_hits_[ci]->add();
   ++e.ref_count;
   return result;
 }
@@ -146,8 +125,7 @@ SlotId FeatureBuffer::allocate_slot(NodeId node) {
 void FeatureBuffer::allocate_slots(const NodeId* nodes, std::size_t n,
                                    SlotId* out) {
   std::unique_lock lock(mu_);
-  ++stats_.batch_lock_acquisitions;
-  if (m_batch_locks_ != nullptr) m_batch_locks_->add();
+  batch_locks_->add();
   for (std::size_t i = 0; i < n; ++i) {
     out[i] = allocate_slot_locked(lock, nodes[i]);
   }
@@ -159,8 +137,7 @@ SlotId FeatureBuffer::allocate_slot_locked(std::unique_lock<std::mutex>& lock,
   GD_CHECK_MSG(!e.valid && e.slot == kNoSlot && e.ref_count > 0,
                "allocate_slot on node not in kMustLoad state");
   if (standby_.empty()) {
-    ++stats_.slot_waits;
-    if (m_slot_waits_ != nullptr) m_slot_waits_->add();
+    slot_waits_->add();
     slot_available_.wait(lock, [&] { return !standby_.empty(); });
   }
   const std::uint32_t slot = standby_.pop_lru();
@@ -172,7 +149,7 @@ SlotId FeatureBuffer::allocate_slot_locked(std::unique_lock<std::mutex>& lock,
                  "standby slot owner had live references");
     map_[prev].valid = false;
     map_[prev].slot = kNoSlot;
-    if (m_evictions_ != nullptr) m_evictions_->add();
+    evictions_->add();
   }
   reverse_[slot] = node;
   e.slot = static_cast<SlotId>(slot);
@@ -196,8 +173,7 @@ void FeatureBuffer::mark_failed(NodeId node) {
     GD_CHECK_MSG(e.ref_count > 0, "mark_failed on unreferenced node");
     GD_CHECK_MSG(!e.valid, "mark_failed on valid node");
     e.failed = true;
-    ++stats_.failed_loads;
-    if (m_failed_ != nullptr) m_failed_->add();
+    failed_loads_->add();
   }
   became_valid_.notify_all();
 }
@@ -264,8 +240,7 @@ void FeatureBuffer::release(const std::vector<NodeId>& nodes) {
   bool freed = false;
   {
     std::lock_guard lock(mu_);
-    ++stats_.batch_lock_acquisitions;
-    if (m_batch_locks_ != nullptr) m_batch_locks_->add();
+    batch_locks_->add();
     for (NodeId node : nodes) freed |= retire_locked(node);
     if (freed) publish_standby_locked();
   }
@@ -311,12 +286,8 @@ std::vector<SlotId> FeatureBuffer::pin_hot(
   }
   hot_count_ = hot_nodes.size();
   publish_standby_locked();
-  if (m_hot_slots_ != nullptr) {
-    m_hot_slots_->set(static_cast<std::int64_t>(hot_count_));
-  }
-  if (m_cold_slots_ != nullptr) {
-    m_cold_slots_->set(static_cast<std::int64_t>(num_slots_ - hot_count_));
-  }
+  hot_slots_gauge_->set(static_cast<std::int64_t>(hot_count_));
+  cold_slots_gauge_->set(static_cast<std::int64_t>(num_slots_ - hot_count_));
   return out;
 }
 
@@ -335,12 +306,7 @@ void FeatureBuffer::seal_hot() {
 }
 
 void FeatureBuffer::record_hot_hits(std::uint64_t n, FbClient client) {
-  if (n == 0) return;
-  const auto ci = static_cast<std::size_t>(client);
-  hot_hits_[ci].fetch_add(n, std::memory_order_relaxed);
-  if (m_hot_hits_ != nullptr) m_hot_hits_->add(n);
-  if (m_client_lookups_[ci] != nullptr) m_client_lookups_[ci]->add(n);
-  if (m_client_hits_[ci] != nullptr) m_client_hits_[ci]->add(n);
+  by_client_[static_cast<std::size_t>(client)].hot_hits->add(n);
 }
 
 FeatureBuffer::Entry FeatureBuffer::entry(NodeId node) const {
@@ -359,19 +325,26 @@ std::size_t FeatureBuffer::standby_size() const {
 }
 
 FeatureBufferStats FeatureBuffer::stats() const {
-  std::lock_guard lock(mu_);
-  FeatureBufferStats s = stats_;
-  for (std::size_t ci = 0; ci < kNumFbClients; ++ci) {
-    s.hot_hits += hot_hits_[ci].load(std::memory_order_relaxed);
-  }
+  const FeatureBufferStats train = stats(FbClient::kTrain);
+  const FeatureBufferStats serve = stats(FbClient::kServe);
+  FeatureBufferStats s;
+  s.hot_hits = train.hot_hits + serve.hot_hits;
+  s.reuse_hits = train.reuse_hits + serve.reuse_hits;
+  s.wait_hits = train.wait_hits + serve.wait_hits;
+  s.loads = train.loads + serve.loads;
+  s.slot_waits = slot_waits_->value();
+  s.failed_loads = failed_loads_->value();
+  s.batch_lock_acquisitions = batch_locks_->value();
   return s;
 }
 
 FeatureBufferStats FeatureBuffer::stats(FbClient client) const {
-  std::lock_guard lock(mu_);
-  const auto ci = static_cast<std::size_t>(client);
-  FeatureBufferStats s = by_client_[ci];
-  s.hot_hits = hot_hits_[ci].load(std::memory_order_relaxed);
+  const ClientCounters& c = by_client_[static_cast<std::size_t>(client)];
+  FeatureBufferStats s;
+  s.hot_hits = c.hot_hits->value();
+  s.reuse_hits = c.reuse_hits->value();
+  s.wait_hits = c.wait_hits->value();
+  s.loads = c.loads->value();
   return s;
 }
 

@@ -31,17 +31,17 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "util/common.hpp"
 #include "util/lru.hpp"
 
 namespace gnndrive {
 
-class Counter;
-class Gauge;
 class Telemetry;
 
 /// Which workload a feature-buffer lookup is attributed to. Training and
@@ -94,11 +94,13 @@ struct FeatureBufferStats {
 
 class FeatureBuffer : NonCopyable {
  public:
-  /// `telemetry` (optional) publishes the hit/miss/eviction counters and the
-  /// standby-list gauge into its metrics registry under "fb.*" names.
-  /// Throws std::invalid_argument when the config is unusable (zero slots,
-  /// more slots than the LRU index space, zero-width rows) — construction
-  /// is the validation point, not the first hot-path GD_CHECK.
+  /// Every count lives in the "fb.*" instruments of `telemetry`'s metrics
+  /// registry — or, without telemetry, of a registry the buffer owns — and
+  /// stats() reads them back. Buffers sharing one Telemetry share those
+  /// counts (in the library, only MultiGpuGnnDrive replicas do). Throws
+  /// std::invalid_argument when the config is unusable (zero slots, more
+  /// slots than the LRU index space, zero-width rows) — construction is the
+  /// validation point, not the first hot-path GD_CHECK.
   FeatureBuffer(const FeatureBufferConfig& config, NodeId num_nodes,
                 Telemetry* telemetry = nullptr);
 
@@ -216,7 +218,8 @@ class FeatureBuffer : NonCopyable {
   Entry entry(NodeId node) const;
   NodeId reverse(SlotId slot) const;  ///< kInvalidNode when slot is empty
   std::size_t standby_size() const;
-  /// Merged view across both clients.
+  /// Merged view across both clients (lock-free reads of the fb.*
+  /// counters).
   FeatureBufferStats stats() const;
   /// Triage counters attributed to one client (hot/reuse/wait/loads only;
   /// the shared fields — slot_waits, failed_loads, lock counts — are
@@ -245,10 +248,6 @@ class FeatureBuffer : NonCopyable {
   std::vector<NodeId> reverse_;       ///< per slot
   IndexedLruList standby_;            ///< unpinned slots with refcount == 0
   std::vector<float> storage_;
-  FeatureBufferStats stats_;
-  /// Per-client triage counters (hot/reuse/wait/loads), guarded by mu_
-  /// except hot_hits which is mirrored from the lock-free atomics below.
-  FeatureBufferStats by_client_[kNumFbClients];
 
   // Hot partition. hot_map_ is written only before the release-store of
   // hot_sealed_; readers pair it with an acquire-load in hot_slot(), so the
@@ -256,24 +255,25 @@ class FeatureBuffer : NonCopyable {
   std::vector<SlotId> hot_map_;  ///< node -> pinned slot (kNoSlot when cold)
   std::uint64_t hot_count_ = 0;
   std::atomic<bool> hot_sealed_{false};
-  std::atomic<std::uint64_t> hot_hits_[kNumFbClients] = {};
 
-  // Observability (all null without telemetry; see docs/observability.md).
+  // Instruments (docs/observability.md), resolved once from the
+  // telemetry's registry or owned_metrics_: the only store of every count.
   void publish_standby_locked();
-  Counter* m_reuse_hits_ = nullptr;   ///< fb.reuse_hits
-  Counter* m_wait_hits_ = nullptr;    ///< fb.wait_hits
-  Counter* m_loads_ = nullptr;        ///< fb.loads
-  Counter* m_slot_waits_ = nullptr;   ///< fb.slot_waits
-  Counter* m_failed_ = nullptr;       ///< fb.failed_loads
-  Counter* m_evictions_ = nullptr;    ///< fb.evictions (slot re-assigned)
-  Counter* m_batch_locks_ = nullptr;  ///< fb.batch_lock_acquisitions
-  Counter* m_hot_hits_ = nullptr;     ///< fb.hot.hits
-  Gauge* m_standby_ = nullptr;        ///< fb.standby (list length)
-  Gauge* m_hot_slots_ = nullptr;      ///< fb.hot.slots (pinned region size)
-  Gauge* m_cold_slots_ = nullptr;     ///< fb.cold.slots (evictable region)
-  /// fb.train.lookups / fb.train.hits / fb.serve.lookups / fb.serve.hits
-  Counter* m_client_lookups_[kNumFbClients] = {};
-  Counter* m_client_hits_[kNumFbClients] = {};
+  std::unique_ptr<MetricsRegistry> owned_metrics_;
+  /// fb.{train,serve}.{hot_hits,reuse_hits,wait_hits,loads}
+  struct ClientCounters {
+    Counter* hot_hits;
+    Counter* reuse_hits;
+    Counter* wait_hits;
+    Counter* loads;
+  } by_client_[kNumFbClients];
+  Counter* slot_waits_;       ///< fb.slot_waits
+  Counter* failed_loads_;     ///< fb.failed_loads
+  Counter* evictions_;        ///< fb.evictions (slot re-assigned)
+  Counter* batch_locks_;      ///< fb.batch_lock_acquisitions
+  Gauge* standby_gauge_;      ///< fb.standby (list length)
+  Gauge* hot_slots_gauge_;    ///< fb.hot.slots (pinned region size)
+  Gauge* cold_slots_gauge_;   ///< fb.cold.slots (evictable region)
 };
 
 }  // namespace gnndrive

@@ -1,5 +1,6 @@
 #include "core/multi_gpu.hpp"
 
+#include <exception>
 #include <thread>
 
 namespace gnndrive {
@@ -44,15 +45,34 @@ EpochStats MultiGpuGnnDrive::run_epoch(std::uint64_t epoch) {
   for (auto& r : replicas_) {
     r->set_grad_sync_hook([&sync](GnnModel&) { sync.arrive_and_wait(); });
   }
+  // The hooks point at the stack barrier: clear them on every way out.
+  struct HookReset {
+    std::vector<std::unique_ptr<GnnDrive>>& replicas;
+    ~HookReset() {
+      for (auto& r : replicas) r->set_grad_sync_hook(nullptr);
+    }
+  } hook_reset{replicas_};
 
   std::vector<EpochStats> stats(n);
+  std::vector<std::exception_ptr> errors(n);
   std::vector<std::thread> threads;
   const TimePoint t0 = Clock::now();
   for (std::uint32_t r = 0; r < n; ++r) {
-    threads.emplace_back(
-        [&, r] { stats[r] = replicas_[r]->run_epoch(epoch); });
+    threads.emplace_back([&, r] {
+      try {
+        stats[r] = replicas_[r]->run_epoch(epoch);
+      } catch (...) {
+        errors[r] = std::current_exception();
+        // This replica never reaches the barrier again; drop out so its
+        // siblings' gradient syncs stop waiting for it.
+        sync.arrive_and_drop();
+      }
+    });
   }
   for (auto& t : threads) t.join();
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
 
   EpochStats out;
   out.epoch_seconds = to_seconds(Clock::now() - t0);
@@ -64,7 +84,6 @@ EpochStats MultiGpuGnnDrive::run_epoch(std::uint64_t epoch) {
     out.extract_seconds += s.extract_seconds;
     out.train_seconds += s.train_seconds;
   }
-  for (auto& r : replicas_) r->set_grad_sync_hook(nullptr);
   return out;
 }
 

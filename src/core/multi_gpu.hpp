@@ -13,6 +13,10 @@
 // The paper uses subprocesses because of Python's GIL; C++ threads give the
 // same structure without the IPC layer (the all-reduce model absorbs the
 // synchronization cost either way — see DESIGN.md).
+//
+// Given a Telemetry in the RunContext, all replicas count into it, so their
+// registry instruments are shared: a replica's feature_buffer().stats()
+// and EpochStats::obs then cover every replica, as /metrics does.
 #pragma once
 
 #include <barrier>
@@ -35,7 +39,9 @@ class MultiGpuGnnDrive : NonCopyable {
   ~MultiGpuGnnDrive();
 
   /// Runs one epoch across all replicas; epoch_seconds is the wall time of
-  /// the slowest replica, loss/accuracy are averaged.
+  /// the slowest replica, loss/accuracy are averaged. A replica that throws
+  /// drops out of the gradient barrier so its siblings finish; once every
+  /// replica has returned, the lowest-numbered failure is rethrown.
   EpochStats run_epoch(std::uint64_t epoch);
 
   double evaluate();

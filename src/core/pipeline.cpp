@@ -44,7 +44,7 @@ struct GnnDrive::ExtractorState {
   std::unique_ptr<IoRing> ring;
   std::uint8_t* staging_base = nullptr;  ///< staging_rows_ segment-wide rows
   Rng backoff_rng{0};                    ///< jitter source, seeded per worker
-  ExtractMetricHooks hooks;              ///< null without a registry
+  ExtractMetricHooks hooks;              ///< null without telemetry
   ExtractCounters counters;              ///< this epoch's extraction totals
   /// The current batch's extract sub-phases, accumulated only while tracing
   /// (the loop interleaves submit / SSD wait / transfer wait; the worker
@@ -63,7 +63,9 @@ struct GnnDrive::ExtractorState {
 
 GnnDrive::GnnDrive(const RunContext& ctx, GnnDriveConfig config)
     : ctx_(ctx), config_(std::move(config)),
-      sampler_(config_.common.sampler), adam_(config_.common.adam) {
+      sampler_(config_.common.sampler),
+      metrics_(registry_or_own(ctx_.telemetry, owned_metrics_)),
+      adam_(config_.common.adam) {
   const Dataset& ds = *ctx_.dataset;
   HostMemory& mem = *ctx_.host_mem;
 
@@ -501,7 +503,7 @@ EpochStats GnnDrive::run_epoch(std::uint64_t epoch) {
   // histograms are always-on relaxed atomics; spans are recorded only while
   // tracing is enabled.
   Telemetry* tel = ctx_.telemetry;
-  MetricsRegistry* reg = tel != nullptr ? tel->metrics() : nullptr;
+  MetricsRegistry& reg = metrics_;
   SpanTracer* tracer = tel != nullptr ? tel->tracer() : nullptr;
   const bool tracing = tracer != nullptr && tracer->enabled();
   const auto epoch32 = static_cast<std::uint32_t>(epoch);
@@ -520,22 +522,13 @@ EpochStats GnnDrive::run_epoch(std::uint64_t epoch) {
     if (ctx_.ssd != nullptr) ac.ssd_channels = ctx_.ssd->config().channels;
     attributor->set_config(ac);
   }
-  Gauge* g_running = reg != nullptr ? &reg->gauge("pipeline.running") : nullptr;
-  if (reg != nullptr) {
-    reg->gauge("pipeline.epoch").set(static_cast<std::int64_t>(epoch));
-  }
-  if (g_running != nullptr) g_running->add(1);
+  reg.gauge("pipeline.epoch").set(static_cast<std::int64_t>(epoch));
   struct RunningGuard {
-    Gauge* g;
-    ~RunningGuard() {
-      if (g != nullptr) g->sub(1);
-    }
-  } running_guard{g_running};
+    Gauge& g;
+    explicit RunningGuard(Gauge& gauge) : g(gauge) { g.add(1); }
+    ~RunningGuard() { g.sub(1); }
+  } running_guard{reg.gauge("pipeline.running")};
   SamplerLease sampler_lease(tel != nullptr ? tel->sampler() : nullptr);
-  MetricsRegistry::Snapshot epoch_begin_snap;
-  if (reg != nullptr && attributor != nullptr) {
-    epoch_begin_snap = reg->snapshot();
-  }
 
   // Release-queue payload: the node list plus the batch id, so release spans
   // line up with the rest of the batch's trace.
@@ -548,32 +541,22 @@ EpochStats GnnDrive::run_epoch(std::uint64_t epoch) {
   BoundedQueue<SampledBatch> train_q(config_.train_queue_cap);
   BoundedQueue<ReleaseItem> release_q(16);
 
-  ConcurrentHistogram h_sample, h_extract, h_train, h_release;
-  ConcurrentHistogram* rh_sample = nullptr;
-  ConcurrentHistogram* rh_extract = nullptr;
-  ConcurrentHistogram* rh_train = nullptr;
-  ConcurrentHistogram* rh_release = nullptr;
-  if (reg != nullptr) {
-    rh_sample = &reg->histogram("stage.sample.us");
-    rh_extract = &reg->histogram("stage.extract.us");
-    rh_train = &reg->histogram("stage.train.us");
-    rh_release = &reg->histogram("stage.release.us");
-    extract_q.bind_metrics(&reg->gauge("pipeline.extract_q.depth"),
-                           &reg->counter("pipeline.extract_q.push_blocked"),
-                           &reg->counter("pipeline.extract_q.pop_blocked"));
-    train_q.bind_metrics(&reg->gauge("pipeline.train_q.depth"),
-                         &reg->counter("pipeline.train_q.push_blocked"),
-                         &reg->counter("pipeline.train_q.pop_blocked"));
-    release_q.bind_metrics(&reg->gauge("pipeline.release_q.depth"),
-                           &reg->counter("pipeline.release_q.push_blocked"),
-                           &reg->counter("pipeline.release_q.pop_blocked"));
-  }
-  const auto stage_done = [](ConcurrentHistogram& local,
-                             ConcurrentHistogram* global, TimePoint b,
+  ConcurrentHistogram& h_sample = reg.histogram("stage.sample.us");
+  ConcurrentHistogram& h_extract = reg.histogram("stage.extract.us");
+  ConcurrentHistogram& h_train = reg.histogram("stage.train.us");
+  ConcurrentHistogram& h_release = reg.histogram("stage.release.us");
+  extract_q.bind_metrics(reg.gauge("pipeline.extract_q.depth"),
+                         reg.counter("pipeline.extract_q.push_blocked"),
+                         reg.counter("pipeline.extract_q.pop_blocked"));
+  train_q.bind_metrics(reg.gauge("pipeline.train_q.depth"),
+                       reg.counter("pipeline.train_q.push_blocked"),
+                       reg.counter("pipeline.train_q.pop_blocked"));
+  release_q.bind_metrics(reg.gauge("pipeline.release_q.depth"),
+                         reg.counter("pipeline.release_q.push_blocked"),
+                         reg.counter("pipeline.release_q.pop_blocked"));
+  const auto stage_done = [](ConcurrentHistogram& h, TimePoint b,
                              TimePoint e) {
-    const double us = to_seconds(e - b) * 1e6;
-    local.add_us(us);
-    if (global != nullptr) global->add_us(us);
+    h.add_us(to_seconds(e - b) * 1e6);
   };
   const FeatureBufferStats fb_before = feature_buffer_->stats();
 
@@ -581,9 +564,8 @@ EpochStats GnnDrive::run_epoch(std::uint64_t epoch) {
   std::atomic<std::uint64_t> sample_ns{0};
   std::atomic<std::uint64_t> extract_ns{0};
   std::atomic<std::uint64_t> failed_batches{0};
-  std::atomic<std::uint64_t> trained_batches{0};
-  Counter* m_failed_batches =
-      reg != nullptr ? &reg->counter("fault.failed_batches") : nullptr;
+  std::uint64_t trained_here = 0;  ///< written by the trainer thread only
+  Counter& failed_counter = reg.counter("fault.failed_batches");
   // Each extractor's final counters, summed into the epoch report once the
   // workers have joined.
   std::vector<ExtractCounters> extract_totals(num_extractors_);
@@ -599,6 +581,9 @@ EpochStats GnnDrive::run_epoch(std::uint64_t epoch) {
 
   EpochStats stats;
   stats.batches = n_batches - start;
+  // The registry snapshots bounding the epoch, outside its timer: EpochObs'
+  // stage rows and the attribution report are both their diff.
+  const MetricsRegistry::Snapshot begin = reg.snapshot();
   const TimePoint t0 = Clock::now();
 
   std::vector<std::thread> samplers;
@@ -621,7 +606,7 @@ EpochStats GnnDrive::run_epoch(std::uint64_t epoch) {
           }
           const TimePoint te = Clock::now();
           sample_ns.fetch_add(elapsed_ns(ts, te));
-          stage_done(h_sample, rh_sample, ts, te);
+          stage_done(h_sample, ts, te);
           if (tracing) {
             tracer->record(kSpanSample, batch.batch_id, epoch32, ts, te);
           }
@@ -676,7 +661,7 @@ EpochStats GnnDrive::run_epoch(std::uint64_t epoch) {
             const bool ok = extract_batch(*batch, state);
             const TimePoint te = Clock::now();
             extract_ns.fetch_add(elapsed_ns(ts, te));
-            stage_done(h_extract, rh_extract, ts, te);
+            stage_done(h_extract, ts, te);
             if (tracing) {
               tracer->record(kSpanExtract, batch->batch_id, epoch32, ts, te);
               // The real loop interleaves submit / SSD wait / transfer wait;
@@ -705,7 +690,7 @@ EpochStats GnnDrive::run_epoch(std::uint64_t epoch) {
               // Graceful degradation: the batch never trains, but its
               // references must still drain so slots return to standby.
               failed_batches.fetch_add(1);
-              if (m_failed_batches != nullptr) m_failed_batches->add();
+              failed_counter.add();
               log_structured(LogLevel::kWarn, "batch_failed",
                              {kv("batch", batch->batch_id), kv("epoch", epoch),
                               kv("io_errors", state.counters.io_errors),
@@ -730,7 +715,6 @@ EpochStats GnnDrive::run_epoch(std::uint64_t epoch) {
     }
     // Trainer.
     workers.emplace_back([&] {
-      std::uint64_t trained_here = 0;
       std::uint32_t since_ckpt = 0;
       try {
         for (;;) {
@@ -745,11 +729,10 @@ EpochStats GnnDrive::run_epoch(std::uint64_t epoch) {
           const double loss = train_batch(*batch, stats);
           const TimePoint te = Clock::now();
           stats.train_seconds += to_seconds(te - ts);
-          stage_done(h_train, rh_train, ts, te);
+          stage_done(h_train, ts, te);
           if (tracing) {
             tracer->record(kSpanTrain, batch->batch_id, epoch32, ts, te);
           }
-          trained_batches.fetch_add(1);
           // Advance the checkpoint cursor: with one sampler and one
           // extractor batches train strictly in order, so "count trained"
           // equals "index of the next untrained batch" and resume is
@@ -785,7 +768,7 @@ EpochStats GnnDrive::run_epoch(std::uint64_t epoch) {
           const TimePoint ts = Clock::now();
           feature_buffer_->release(item->nodes);
           const TimePoint te = Clock::now();
-          stage_done(h_release, rh_release, ts, te);
+          stage_done(h_release, ts, te);
           if (tracing) {
             tracer->record(kSpanRelease, item->batch_id, epoch32, ts, te);
           }
@@ -833,10 +816,11 @@ EpochStats GnnDrive::run_epoch(std::uint64_t epoch) {
   }
 
   stats.epoch_seconds = to_seconds(Clock::now() - t0);
+  const MetricsRegistry::Snapshot end = reg.snapshot();
   stats.sample_seconds = static_cast<double>(sample_ns.load()) / 1e9;
   stats.extract_seconds = static_cast<double>(extract_ns.load()) / 1e9;
   stats.result.failed_batches = failed_batches.load();
-  stats.result.trained_batches = trained_batches.load();
+  stats.result.trained_batches = trained_here;
   for (const ExtractCounters& c : extract_totals) {
     stats.result.io_errors += c.io_errors;
     stats.result.io_retries += c.io_retries;
@@ -845,18 +829,14 @@ EpochStats GnnDrive::run_epoch(std::uint64_t epoch) {
     stats.obs.io_segments += c.segments;
     stats.obs.io_rows += c.rows_loaded;
   }
-  const auto fill = [](StageLatency& s, const ConcurrentHistogram& h) {
-    const LatencyHistogram lh = h.snapshot();
-    s.count = lh.count();
-    s.mean_us = lh.mean_us();
-    s.p50_us = lh.percentile_us(0.50);
-    s.p95_us = lh.percentile_us(0.95);
-    s.p99_us = lh.percentile_us(0.99);
+  const auto stage = [&](const char* name) {
+    return StageLatency::of(
+        end.histogram(name).diff_since(begin.histogram(name)));
   };
-  fill(stats.obs.sample, h_sample);
-  fill(stats.obs.extract, h_extract);
-  fill(stats.obs.train, h_train);
-  fill(stats.obs.release, h_release);
+  stats.obs.sample = stage("stage.sample.us");
+  stats.obs.extract = stage("stage.extract.us");
+  stats.obs.train = stage("stage.train.us");
+  stats.obs.release = stage("stage.release.us");
   stats.obs.extract_q_max = extract_q.max_size();
   stats.obs.train_q_max = train_q.max_size();
   stats.obs.release_q_max = release_q.max_size();
@@ -868,7 +848,7 @@ EpochStats GnnDrive::run_epoch(std::uint64_t epoch) {
   // Mean loss/accuracy over the batches that actually trained (identical to
   // dividing by n_batches on a clean epoch).
   const std::uint64_t denom =
-      config_.common.sample_only ? n_batches : trained_batches.load();
+      config_.common.sample_only ? n_batches : trained_here;
   if (denom > 0) {
     stats.loss /= static_cast<double>(denom);
     stats.train_accuracy /= static_cast<double>(denom);
@@ -877,9 +857,9 @@ EpochStats GnnDrive::run_epoch(std::uint64_t epoch) {
   // Epoch-scoped bottleneck report: diagnose the epoch just run from its
   // bounding registry snapshots and publish it (structured "attribution"
   // event + the /attribution endpoint's latest report).
-  if (reg != nullptr && attributor != nullptr) {
+  if (attributor != nullptr) {
     attributor->publish(attributor->attribute(
-        epoch_begin_snap, reg->snapshot(), stats.epoch_seconds,
+        begin, end, stats.epoch_seconds,
         "epoch " + std::to_string(epoch)));
   }
   return stats;

@@ -228,6 +228,10 @@ class GnnDrive final : public TrainSystem {
   RunContext ctx_;
   GnnDriveConfig config_;
   NeighborSampler sampler_;
+  /// The registry run_epoch counts into (stage.*, pipeline.*,
+  /// fault.failed_batches): the telemetry's, else owned_metrics_.
+  std::unique_ptr<MetricsRegistry> owned_metrics_;
+  MetricsRegistry& metrics_;
 
   std::uint32_t num_extractors_ = 0;     ///< after auto-shrink
   std::uint64_t max_batch_nodes_ = 0;    ///< Mb

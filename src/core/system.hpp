@@ -12,6 +12,7 @@
 #include "memsim/page_cache.hpp"
 #include "sampling/sampler.hpp"
 #include "storage/ssd.hpp"
+#include "util/stats.hpp"
 #include "util/telemetry.hpp"
 
 namespace gnndrive {
@@ -39,18 +40,38 @@ struct EpochResult {
   bool ok() const { return failed_batches == 0; }
 };
 
-/// Per-stage latency distribution over one epoch (microseconds per batch).
+/// Per-stage latency distribution over a window (microseconds per batch or
+/// request).
 struct StageLatency {
   std::uint64_t count = 0;
   double mean_us = 0.0;
   double p50_us = 0.0;
   double p95_us = 0.0;
   double p99_us = 0.0;
+
+  /// Summary of `h`'s samples (typically a registry histogram's window,
+  /// `snapshot().diff_since(begin)`).
+  static StageLatency of(const LatencyHistogram& h) {
+    return {h.count(), h.mean_us(), h.percentile_us(0.50),
+            h.percentile_us(0.95), h.percentile_us(0.99)};
+  }
+
+  /// One aligned report row, as EpochObs and ServeReport print them.
+  std::string row(const char* name) const {
+    char line[192];
+    std::snprintf(line, sizeof(line),
+                  "  %-8s n=%-5llu p50=%9.1fus p95=%9.1fus p99=%9.1fus "
+                  "mean=%9.1fus\n",
+                  name, static_cast<unsigned long long>(count), p50_us,
+                  p95_us, p99_us, mean_us);
+    return line;
+  }
 };
 
 /// End-of-epoch observability report (see docs/observability.md). Populated
-/// by the GNNDrive pipeline on every epoch — the per-batch histograms behind
-/// it are relaxed atomics, cheap enough to keep always-on.
+/// by the GNNDrive pipeline on every epoch as views of the registry: stage
+/// rows are the epoch's stage.*.us histogram diffs, buffer counts fb.*
+/// diffs. Instances sharing one Telemetry share those instruments.
 struct EpochObs {
   StageLatency sample, extract, train, release;
   std::uint64_t extract_q_max = 0;  ///< deepest the extracting queue got
@@ -80,20 +101,9 @@ struct EpochObs {
 
   /// Multi-line printable summary for benches and examples.
   std::string format() const {
-    std::string out;
+    std::string out = sample.row("sample") + extract.row("extract") +
+                      train.row("train") + release.row("release");
     char line[192];
-    const auto row = [&](const char* name, const StageLatency& s) {
-      std::snprintf(line, sizeof(line),
-                    "  %-8s n=%-5llu p50=%9.1fus p95=%9.1fus p99=%9.1fus "
-                    "mean=%9.1fus\n",
-                    name, static_cast<unsigned long long>(s.count), s.p50_us,
-                    s.p95_us, s.p99_us, s.mean_us);
-      out += line;
-    };
-    row("sample", sample);
-    row("extract", extract);
-    row("train", train);
-    row("release", release);
     std::snprintf(line, sizeof(line),
                   "  queues   extract_q max=%llu train_q max=%llu "
                   "release_q max=%llu\n",

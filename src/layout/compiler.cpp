@@ -168,7 +168,7 @@ LayoutCompileStats compile_layout(Dataset& dataset,
       plan != nullptr ? plan->strategy : LayoutStrategy::kIdentity;
   dataset.set_layout_plan(std::move(plan));
 
-  if (telemetry != nullptr && telemetry->metrics() != nullptr) {
+  if (telemetry != nullptr) {
     MetricsRegistry& reg = *telemetry->metrics();
     reg.counter("layout.compile.rows").add(stats.rows);
     reg.counter("layout.compile.rows_moved").add(stats.rows_moved);

@@ -10,23 +10,13 @@ namespace gnndrive {
 
 PageCache::PageCache(HostMemory& mem, SsdDevice& ssd, Telemetry* telemetry)
     : mem_(mem), ssd_(ssd), telemetry_(telemetry) {
-  set_telemetry(telemetry);
-}
-
-void PageCache::set_telemetry(Telemetry* t) {
-  telemetry_ = t;
-  if (t == nullptr) {
-    m_hits_ = m_misses_ = m_evictions_ = m_fault_wait_us_ = nullptr;
-    m_io_errors_ = m_io_retries_ = nullptr;
-    return;
-  }
-  MetricsRegistry& reg = *t->metrics();
-  m_hits_ = &reg.counter("pagecache.hits");
-  m_misses_ = &reg.counter("pagecache.misses");
-  m_evictions_ = &reg.counter("pagecache.evictions");
-  m_fault_wait_us_ = &reg.counter("pagecache.fault_wait_us");
-  m_io_errors_ = &reg.counter("fault.io_errors");
-  m_io_retries_ = &reg.counter("fault.io_retries");
+  MetricsRegistry& reg = registry_or_own(telemetry, owned_metrics_);
+  hits_ = &reg.counter("pagecache.hits");
+  misses_ = &reg.counter("pagecache.misses");
+  evictions_ = &reg.counter("pagecache.evictions");
+  fault_wait_us_ = &reg.counter("pagecache.fault_wait_us");
+  io_errors_ = &reg.counter("fault.io_errors");
+  io_retries_ = &reg.counter("fault.io_retries");
 }
 
 std::uint64_t PageCache::capacity_pages() const {
@@ -44,13 +34,7 @@ bool PageCache::contains_page(std::uint64_t page_no) const {
 }
 
 PageCacheStats PageCache::stats() const {
-  std::lock_guard lock(mu_);
-  return stats_;
-}
-
-void PageCache::reset_stats() {
-  std::lock_guard lock(mu_);
-  stats_ = PageCacheStats{};
+  return {hits_->value(), misses_->value(), evictions_->value()};
 }
 
 void PageCache::invalidate_all() {
@@ -66,8 +50,7 @@ void PageCache::evict_to_capacity_locked() {
     const std::uint64_t victim = lru_.front();
     lru_.pop_front();
     resident_.erase(victim);
-    ++stats_.evictions;
-    if (m_evictions_ != nullptr) m_evictions_->add();
+    evictions_->add();
   }
 }
 
@@ -77,30 +60,25 @@ bool PageCache::fault_page(std::unique_lock<std::mutex>& lock,
   if (it != resident_.end()) {
     // Hit: move to MRU position.
     lru_.splice(lru_.end(), lru_, it->second);
-    ++stats_.hits;
-    if (m_hits_ != nullptr) m_hits_->add();
+    hits_->add();
     return true;
   }
   if (loading_.count(page_no) != 0) {
     // Another thread is faulting the same page: wait, like a real page fault
     // on a locked page. Attributed as a miss for this caller.
-    ++stats_.misses;
-    if (m_misses_ != nullptr) m_misses_->add();
+    misses_->add();
     ScopedTrace trace(telemetry_, TraceCat::kIoWait);
     const TimePoint wait_t0 = Clock::now();
     load_done_.wait(lock, [&] { return loading_.count(page_no) == 0; });
-    if (m_fault_wait_us_ != nullptr) {
-      m_fault_wait_us_->add(static_cast<std::uint64_t>(
-          to_seconds(Clock::now() - wait_t0) * 1e6));
-    }
+    fault_wait_us_->add(static_cast<std::uint64_t>(
+        to_seconds(Clock::now() - wait_t0) * 1e6));
     auto again = resident_.find(page_no);
     if (again != resident_.end()) {
       lru_.splice(lru_.end(), lru_, again->second);
     }
     return false;
   }
-  ++stats_.misses;
-  if (m_misses_ != nullptr) m_misses_->add();
+  misses_->add();
   loading_.insert(page_no);
   lock.unlock();
   const TimePoint fault_t0 = Clock::now();
@@ -121,10 +99,8 @@ bool PageCache::fault_page(std::unique_lock<std::mutex>& lock,
     for (int attempt = 0; attempt < 4; ++attempt) {
       res = ssd_.read_sync(off, len, scratch);
       if (res >= 0) break;
-      if (m_io_errors_ != nullptr) {
-        m_io_errors_->add();
-        if (attempt < 3) m_io_retries_->add();
-      }
+      io_errors_->add();
+      if (attempt < 3) io_retries_->add();
     }
     if (res < 0) {
       lock.lock();
@@ -133,10 +109,8 @@ bool PageCache::fault_page(std::unique_lock<std::mutex>& lock,
       throw std::runtime_error("PageCache: device read failed after retries");
     }
   }
-  if (m_fault_wait_us_ != nullptr) {
-    m_fault_wait_us_->add(static_cast<std::uint64_t>(
-        to_seconds(Clock::now() - fault_t0) * 1e6));
-  }
+  fault_wait_us_->add(static_cast<std::uint64_t>(
+      to_seconds(Clock::now() - fault_t0) * 1e6));
   lock.lock();
   loading_.erase(page_no);
   resident_[page_no] = lru_.insert(lru_.end(), page_no);
@@ -167,16 +141,14 @@ bool PageCache::try_read_resident(std::uint64_t offset, std::uint64_t len,
     std::lock_guard lock(mu_);
     for (std::uint64_t p = first; p <= last; ++p) {
       if (resident_.find(p) == resident_.end()) {
-        ++stats_.misses;
-        if (m_misses_ != nullptr) m_misses_->add();
+        misses_->add();
         return false;
       }
     }
     for (std::uint64_t p = first; p <= last; ++p) {
       auto it = resident_.find(p);
       lru_.splice(lru_.end(), lru_, it->second);
-      ++stats_.hits;
-      if (m_hits_ != nullptr) m_hits_->add();
+      hits_->add();
     }
   }
   ssd_.backend().read(offset, static_cast<std::uint32_t>(len), dst);

@@ -14,11 +14,13 @@
 
 #include <condition_variable>
 #include <list>
+#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "memsim/host_memory.hpp"
+#include "obs/metrics.hpp"
 #include "storage/ssd.hpp"
 #include "util/common.hpp"
 #include "util/telemetry.hpp"
@@ -39,7 +41,9 @@ struct PageCacheStats {
 class PageCache : NonCopyable {
  public:
   /// The cache sizes itself dynamically from `mem.available()`; it pins
-  /// nothing itself. `telemetry` may be null.
+  /// nothing itself. Its counts live in the pagecache.* counters of
+  /// `telemetry`'s registry (or of one it owns without telemetry), which
+  /// stats() reads; the attributor diagnoses thrash from the same counters.
   PageCache(HostMemory& mem, SsdDevice& ssd, Telemetry* telemetry = nullptr);
 
   /// Copies `len` bytes at device offset `offset` into `dst`, faulting the
@@ -65,12 +69,8 @@ class PageCache : NonCopyable {
   bool contains_page(std::uint64_t page_no) const;
   std::uint64_t resident_pages() const;
   std::uint64_t capacity_pages() const;
+  /// Monotonic since construction; diff two reads for a window.
   PageCacheStats stats() const;
-  void reset_stats();
-
-  /// Also (re)resolves the pagecache.* registry counters the bottleneck
-  /// attributor reads for its thrash diagnosis.
-  void set_telemetry(Telemetry* t);
 
  private:
   /// Makes `page_no` resident; returns true on hit. Called with mu_ held;
@@ -81,17 +81,16 @@ class PageCache : NonCopyable {
   HostMemory& mem_;
   SsdDevice& ssd_;
   Telemetry* telemetry_;
-  /// Registry mirrors (null without telemetry); bumped under mu_ at the
-  /// same sites as stats_, so windowed deltas match stats() exactly.
-  Counter* m_hits_ = nullptr;       ///< pagecache.hits
-  Counter* m_misses_ = nullptr;     ///< pagecache.misses
-  Counter* m_evictions_ = nullptr;  ///< pagecache.evictions
+  std::unique_ptr<MetricsRegistry> owned_metrics_;
+  Counter* hits_;       ///< pagecache.hits
+  Counter* misses_;     ///< pagecache.misses
+  Counter* evictions_;  ///< pagecache.evictions
   /// pagecache.fault_wait_us: wall time callers spent blocked in
   /// fault_page (device reads + waits on another thread's load). The
   /// attributor reads its windowed delta as the cache's stall cost.
-  Counter* m_fault_wait_us_ = nullptr;
-  Counter* m_io_errors_ = nullptr;   ///< fault.io_errors
-  Counter* m_io_retries_ = nullptr;  ///< fault.io_retries
+  Counter* fault_wait_us_;
+  Counter* io_errors_;   ///< fault.io_errors
+  Counter* io_retries_;  ///< fault.io_retries
 
   mutable std::mutex mu_;
   std::condition_variable load_done_;
@@ -100,7 +99,6 @@ class PageCache : NonCopyable {
   std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator>
       resident_;
   std::unordered_set<std::uint64_t> loading_;
-  PageCacheStats stats_;
 };
 
 }  // namespace gnndrive

@@ -12,57 +12,20 @@ namespace {
 
 double clamp01(double v) { return std::clamp(v, 0.0, 1.0); }
 
-template <typename Vec>
-const typename Vec::value_type::second_type* find_in(const Vec& v,
-                                                     const char* name) {
-  auto it = std::lower_bound(
-      v.begin(), v.end(), name,
-      [](const auto& entry, const char* key) { return entry.first < key; });
-  if (it == v.end() || it->first != name) return nullptr;
-  return &it->second;
-}
-
 std::uint64_t counter_delta(const MetricsRegistry::Snapshot& begin,
                             const MetricsRegistry::Snapshot& end,
                             const char* name) {
-  const std::uint64_t* e = find_in(end.counters, name);
-  if (e == nullptr) return 0;
-  const std::uint64_t* b = find_in(begin.counters, name);
-  const std::uint64_t lo = b != nullptr ? *b : 0;
-  return *e > lo ? *e - lo : 0;
-}
-
-std::int64_t gauge_value(const MetricsRegistry::Snapshot& snap,
-                         const char* name) {
-  const auto* g = find_in(snap.gauges, name);
-  return g != nullptr ? g->value : 0;
-}
-
-std::int64_t gauge_max(const MetricsRegistry::Snapshot& snap,
-                       const char* name) {
-  const auto* g = find_in(snap.gauges, name);
-  return g != nullptr ? g->max : 0;
+  const std::uint64_t lo = begin.counter(name);
+  const std::uint64_t hi = end.counter(name);
+  return hi > lo ? hi - lo : 0;
 }
 
 /// Sum-of-samples delta for a histogram series, in microseconds.
 double hist_sum_delta_us(const MetricsRegistry::Snapshot& begin,
                          const MetricsRegistry::Snapshot& end,
                          const char* name) {
-  const auto* e = find_in(end.histograms, name);
-  if (e == nullptr) return 0.0;
-  const auto* b = find_in(begin.histograms, name);
-  const double lo = b != nullptr ? b->sum_us() : 0.0;
-  return std::max(0.0, e->sum_us() - lo);
-}
-
-LatencyHistogram hist_delta(const MetricsRegistry::Snapshot& begin,
-                            const MetricsRegistry::Snapshot& end,
-                            const char* name) {
-  const auto* e = find_in(end.histograms, name);
-  if (e == nullptr) return LatencyHistogram{};
-  const auto* b = find_in(begin.histograms, name);
-  if (b == nullptr) return *e;
-  return e->diff_since(*b);
+  return std::max(0.0, end.histogram(name).sum_us() -
+                           begin.histogram(name).sum_us());
 }
 
 std::string pct(double frac) {
@@ -175,7 +138,7 @@ AttributionReport BottleneckAttributor::attribute(
       static_cast<double>(counter_delta(begin, end, "ssd.busy_us")) / 1e6;
   const double channels = std::max(1u, cfg.ssd_channels);
   ssd.utilization = clamp01(busy_s / (dt * channels));
-  const std::int64_t pending = gauge_value(end, "ssd.pending");
+  const std::int64_t pending = end.gauge("ssd.pending").value;
   const double queued =
       std::max<double>(0.0, static_cast<double>(pending) - channels);
   ssd.saturation = clamp01(queued / channels);
@@ -237,7 +200,7 @@ AttributionReport BottleneckAttributor::attribute(
   trainer.utilization =
       clamp01(hist_sum_delta_us(begin, end, "stage.train.us") / 1e6 / dt);
   const double train_q_depth =
-      static_cast<double>(gauge_value(end, "pipeline.train_q.depth"));
+      static_cast<double>(end.gauge("pipeline.train_q.depth").value);
   trainer.saturation =
       clamp01(train_q_depth / std::max(1u, cfg.train_queue_cap));
   std::snprintf(ev, sizeof(ev), "%s busy", pct(trainer.utilization).c_str());
@@ -247,7 +210,7 @@ AttributionReport BottleneckAttributor::attribute(
   ResourceScore extract_q;
   extract_q.resource = "extract_q";
   extract_q.utilization = clamp01(
-      static_cast<double>(gauge_value(end, "pipeline.extract_q.depth")) /
+      static_cast<double>(end.gauge("pipeline.extract_q.depth").value) /
       std::max(1u, cfg.extract_queue_cap));
   const std::uint64_t eq_blocked =
       counter_delta(begin, end, "pipeline.extract_q.push_blocked");
@@ -260,8 +223,8 @@ AttributionReport BottleneckAttributor::attribute(
   // -- feature-buffer cold region: occupancy gated on real slot waits -------
   ResourceScore fb;
   fb.resource = "fb.cold";
-  const std::int64_t standby = gauge_value(end, "fb.standby");
-  const std::int64_t cold = gauge_value(end, "fb.cold.slots");
+  const std::int64_t standby = end.gauge("fb.standby").value;
+  const std::int64_t cold = end.gauge("fb.cold.slots").value;
   const double occupancy =
       cold > 0 ? 1.0 - static_cast<double>(standby) / static_cast<double>(cold)
                : 0.0;
@@ -276,8 +239,8 @@ AttributionReport BottleneckAttributor::attribute(
   // -- staging pool: rows in flight vs the pool's high watermark ------------
   ResourceScore staging;
   staging.resource = "staging";
-  const std::int64_t stg_use = gauge_value(end, "io.staging_in_use");
-  const std::int64_t stg_hw = gauge_max(end, "io.staging_in_use");
+  const std::int64_t stg_use = end.gauge("io.staging_in_use").value;
+  const std::int64_t stg_hw = end.gauge("io.staging_in_use").max;
   staging.utilization =
       stg_hw > 0 ? clamp01(static_cast<double>(stg_use) /
                            static_cast<double>(stg_hw))
@@ -291,8 +254,9 @@ AttributionReport BottleneckAttributor::attribute(
 
   // -- serve workers: windowed tail latency vs the SLO ----------------------
   if (cfg.serve_slo_us > 0.0) {
+    const char* kLatency = "serve.latency.us";
     const LatencyHistogram lat =
-        hist_delta(begin, end, "serve.latency.us");
+        end.histogram(kLatency).diff_since(begin.histogram(kLatency));
     if (lat.count() > 0) {
       ResourceScore serve;
       serve.resource = "serve";

@@ -7,7 +7,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 
@@ -23,6 +25,9 @@ namespace {
 
 constexpr int kPollTimeoutMs = 200;   ///< stop-flag check cadence
 constexpr int kClientTimeoutMs = 2000;
+/// Budget for one whole request, first byte to blank line.
+constexpr int kRequestDeadlineMs = 1000;
+constexpr std::size_t kMaxRequestBytes = 16384;
 
 const char* status_text(int status) {
   switch (status) {
@@ -55,34 +60,42 @@ bool send_all(int fd, const std::string& data) {
   return true;
 }
 
-/// Reads until the header terminator or timeout; requests here are tiny.
-bool read_request(int fd, std::string* out) {
+/// Reads until the header terminator. One deadline covers the whole
+/// request and `stop` is checked between polls, so a client trickling bytes
+/// holds the accept thread for at most kRequestDeadlineMs.
+bool read_request(int fd, const std::atomic<bool>& stop, std::string* out) {
+  const TimePoint deadline =
+      Clock::now() + std::chrono::milliseconds(kRequestDeadlineMs);
   char buf[2048];
   while (out->find("\r\n\r\n") == std::string::npos) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          deadline - Clock::now())
+                          .count();
+    if (left <= 0 || stop.load(std::memory_order_acquire)) return false;
     struct pollfd pfd{fd, POLLIN, 0};
-    const int pr = ::poll(&pfd, 1, kClientTimeoutMs);
-    if (pr <= 0) return false;
+    const int pr = ::poll(
+        &pfd, 1, static_cast<int>(std::min<long long>(left, kPollTimeoutMs)));
+    if (pr < 0) return false;
+    if (pr == 0) continue;
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n <= 0) return false;
     out->append(buf, static_cast<std::size_t>(n));
-    if (out->size() > 16384) return false;
+    if (out->size() > kMaxRequestBytes) return false;
   }
   return true;
 }
 
-/// "GET /metrics HTTP/1.1" -> "/metrics" (query strings stripped).
-std::string parse_path(const std::string& request) {
-  const std::size_t sp1 = request.find(' ');
-  if (sp1 == std::string::npos) return {};
-  const std::size_t sp2 = request.find(' ', sp1 + 1);
-  if (sp2 == std::string::npos) return {};
-  std::string path = request.substr(sp1 + 1, sp2 - sp1 - 1);
+}  // namespace
+
+std::string http_request_path(const std::string& request) {
+  if (request.rfind("GET ", 0) != 0) return {};
+  const std::size_t end = request.find(' ', 4);
+  if (end == std::string::npos) return {};
+  std::string path = request.substr(4, end - 4);
   const std::size_t q = path.find('?');
   if (q != std::string::npos) path.resize(q);
   return path;
 }
-
-}  // namespace
 
 ObsServer::ObsServer(MetricsRegistry* registry, TimeSeriesSampler* sampler,
                      BottleneckAttributor* attributor, SloWatcher* slo,
@@ -227,11 +240,10 @@ void ObsServer::serve_loop() {
 
 void ObsServer::serve_client(int fd) const {
   std::string request;
-  if (!read_request(fd, &request)) return;
-  const std::string path = parse_path(request);
+  if (!read_request(fd, stop_, &request)) return;
   std::string body;
   std::string content_type;
-  const int status = handle(path, &body, &content_type);
+  const int status = handle(http_request_path(request), &body, &content_type);
   send_all(fd, build_response(status, content_type, body));
 }
 

@@ -1,6 +1,8 @@
 // Minimal in-process HTTP endpoint for the telemetry plane. One accept
 // thread, blocking I/O with poll() timeouts, Connection: close — enough to
-// be scraped by Prometheus or curl without pulling in any dependency.
+// be scraped by Prometheus or curl without pulling in any dependency. Each
+// request must arrive whole within one second, so a client trickling bytes
+// cannot hold the accept thread or stop().
 //
 // Routes:
 //   /metrics      Prometheus text format 0.0.4 over the full registry
@@ -75,6 +77,10 @@ class ObsServer : NonCopyable {
   std::atomic<bool> stop_{false};
   std::thread thread_;
 };
+
+/// The path of a "GET <path> ..." request, query string stripped; empty
+/// (routed to 404) for any other method or a malformed request line.
+std::string http_request_path(const std::string& request);
 
 /// Blocking HTTP GET against a local endpoint; returns false on connect /
 /// I/O failure. Used by tests and the bench smoke scraper.

@@ -18,6 +18,7 @@
 // registry's lifetime. Metric names are listed in docs/observability.md.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -131,6 +132,34 @@ class MetricsRegistry : NonCopyable {
     std::vector<std::pair<std::string, std::uint64_t>> counters;
     std::vector<std::pair<std::string, GaugeValue>> gauges;
     std::vector<std::pair<std::string, LatencyHistogram>> histograms;
+
+    /// The named entry of one of the vectors above (binary search: they
+    /// are name-sorted), or null when the snapshot lacks it.
+    template <typename Vec>
+    static const typename Vec::value_type::second_type* find(
+        const Vec& v, const std::string& name) {
+      const auto it = std::lower_bound(
+          v.begin(), v.end(), name,
+          [](const auto& entry, const std::string& key) {
+            return entry.first < key;
+          });
+      return it != v.end() && it->first == name ? &it->second : nullptr;
+    }
+    /// Lookups that read an absent instrument as zero / empty, so a window
+    /// is `end.counter(n) - begin.counter(n)` or
+    /// `end.histogram(n).diff_since(begin.histogram(n))`.
+    std::uint64_t counter(const std::string& name) const {
+      const auto* v = find(counters, name);
+      return v != nullptr ? *v : 0;
+    }
+    GaugeValue gauge(const std::string& name) const {
+      const auto* v = find(gauges, name);
+      return v != nullptr ? *v : GaugeValue{};
+    }
+    LatencyHistogram histogram(const std::string& name) const {
+      const auto* v = find(histograms, name);
+      return v != nullptr ? *v : LatencyHistogram{};
+    }
   };
   /// Name-sorted copy of every instrument's current value.
   Snapshot snapshot() const;

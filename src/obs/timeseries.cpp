@@ -7,21 +7,6 @@
 
 namespace gnndrive {
 
-namespace {
-
-/// Binary search in a name-sorted snapshot vector; null when absent.
-template <typename Vec>
-const typename Vec::value_type::second_type* find_in(const Vec& v,
-                                                     const std::string& name) {
-  auto it = std::lower_bound(
-      v.begin(), v.end(), name,
-      [](const auto& entry, const std::string& key) { return entry.first < key; });
-  if (it == v.end() || it->first != name) return nullptr;
-  return &it->second;
-}
-
-}  // namespace
-
 TimeSeriesSampler::TimeSeriesSampler(MetricsRegistry* registry,
                                      SpanTracer* tracer,
                                      TimeSeriesConfig config)
@@ -198,8 +183,10 @@ TimeSeriesSampler::CounterWindow TimeSeriesSampler::counter_window(
   const TimeSeriesSample* b = nullptr;
   const TimeSeriesSample* e = nullptr;
   if (!window_bounds_locked(window_s, &b, &e)) return w;
-  const std::uint64_t* first = find_in(b->snap.counters, name);
-  const std::uint64_t* last = find_in(e->snap.counters, name);
+  const std::uint64_t* first =
+      MetricsRegistry::Snapshot::find(b->snap.counters, name);
+  const std::uint64_t* last =
+      MetricsRegistry::Snapshot::find(e->snap.counters, name);
   if (last == nullptr) return w;
   w.valid = true;
   w.dt_seconds = e->t_seconds - b->t_seconds;
@@ -224,7 +211,7 @@ TimeSeriesSampler::GaugeWindow TimeSeriesSampler::gauge_window(
   std::uint64_t n = 0;
   for (std::uint64_t s = b->seq; s < seq_; ++s) {
     const TimeSeriesSample& cand = ring_[s % config_.capacity];
-    const auto* g = find_in(cand.snap.gauges, name);
+    const auto* g = MetricsRegistry::Snapshot::find(cand.snap.gauges, name);
     if (g == nullptr) continue;
     sum += static_cast<double>(g->value);
     w.max = std::max(w.max, g->value);
@@ -243,11 +230,7 @@ LatencyHistogram TimeSeriesSampler::histogram_window(const std::string& name,
   const TimeSeriesSample* b = nullptr;
   const TimeSeriesSample* e = nullptr;
   if (!window_bounds_locked(window_s, &b, &e)) return LatencyHistogram{};
-  const auto* last = find_in(e->snap.histograms, name);
-  if (last == nullptr) return LatencyHistogram{};
-  const auto* first = find_in(b->snap.histograms, name);
-  if (first == nullptr) return *last;
-  return last->diff_since(*first);
+  return e->snap.histogram(name).diff_since(b->snap.histogram(name));
 }
 
 void TimeSeriesSampler::set_on_tick(

@@ -25,8 +25,6 @@ std::vector<PendingRequest> MicroBatchCoalescer::collect() {
       batch.push_back(std::move(*r));
     }
   }
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  requests_.fetch_add(batch.size(), std::memory_order_relaxed);
   return batch;
 }
 

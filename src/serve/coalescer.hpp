@@ -15,7 +15,6 @@
 // window never adds idle waiting — it only fills.
 #pragma once
 
-#include <atomic>
 #include <vector>
 
 #include "serve/request_queue.hpp"
@@ -34,26 +33,10 @@ class MicroBatchCoalescer : NonCopyable {
   /// drained (worker shutdown).
   std::vector<PendingRequest> collect();
 
-  std::uint64_t batches() const {
-    return batches_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t requests() const {
-    return requests_.load(std::memory_order_relaxed);
-  }
-  /// Mean requests per collected micro-batch (the "coalesce factor"; >= 1
-  /// once any batch ran, 0 before).
-  double coalesce_factor() const {
-    const std::uint64_t b = batches();
-    return b > 0 ? static_cast<double>(requests()) / static_cast<double>(b)
-                 : 0.0;
-  }
-
  private:
   RequestQueue& queue_;
   const std::uint32_t max_batch_;
   const Duration max_wait_;
-  std::atomic<std::uint64_t> batches_{0};
-  std::atomic<std::uint64_t> requests_{0};
 };
 
 }  // namespace gnndrive

@@ -49,14 +49,6 @@ const char* infer_status_name(InferStatus status) {
 std::string ServeReport::format() const {
   std::string out;
   char line[192];
-  const auto row = [&](const char* name, const StageLatency& s) {
-    std::snprintf(line, sizeof(line),
-                  "  %-8s n=%-5llu p50=%9.1fus p95=%9.1fus p99=%9.1fus "
-                  "mean=%9.1fus\n",
-                  name, static_cast<unsigned long long>(s.count), s.p50_us,
-                  s.p95_us, s.p99_us, s.mean_us);
-    out += line;
-  };
   std::snprintf(line, sizeof(line),
                 "  requests submitted=%llu ok=%llu failed=%llu "
                 "rejected=%llu shed=%llu\n",
@@ -71,10 +63,8 @@ std::string ServeReport::format() const {
                 static_cast<unsigned long long>(batches), coalesce_factor,
                 static_cast<unsigned long long>(queue_depth_max));
   out += line;
-  row("latency", latency);
-  row("qwait", queue_wait);
-  row("extract", extract);
-  row("infer", infer);
+  out += latency.row("latency") + queue_wait.row("qwait") +
+         extract.row("extract") + infer.row("infer");
   std::snprintf(line, sizeof(line),
                 "  fbuffer  hit-rate=%.1f%%  io_errors=%llu io_retries=%llu\n",
                 100.0 * fb_hit_rate,
@@ -98,14 +88,15 @@ struct ServeEngine::WorkerState {
   /// under an in-flight forward pass).
   std::shared_ptr<const ModelSet> models;
   GnnModel* model = nullptr;             ///< this worker's forward replica
-  ExtractMetricHooks hooks;              ///< io.coalesce.* (null w/o registry)
+  ExtractMetricHooks hooks;              ///< io.coalesce.* (null w/o telemetry)
 };
 
 ServeEngine::ServeEngine(const RunContext& ctx, const ServeConfig& config,
                          ServeSubstrate substrate)
     : ctx_(ctx), config_(config), sub_(substrate),
       sampler_(config_.sampler),
-      queue_(config_, ctx.telemetry),
+      metrics_(registry_or_own(ctx.telemetry, owned_metrics_)),
+      queue_(config_, metrics_),
       coalescer_(queue_, config_.max_batch, config_.max_wait_us) {
   GD_CHECK_MSG(ctx_.dataset != nullptr && ctx_.ssd != nullptr,
                "ServeEngine needs a dataset and an SSD");
@@ -158,24 +149,26 @@ ServeEngine::ServeEngine(const RunContext& ctx, const ServeConfig& config,
     models_ = std::move(initial);
   }
 
-  if (ctx_.telemetry != nullptr) {
-    MetricsRegistry& reg = *ctx_.telemetry->metrics();
-    m_completed_ = &reg.counter("serve.completed");
-    m_failed_ = &reg.counter("serve.failed");
-    m_shed_ = &reg.counter("serve.shed_deadline");
-    m_batches_ = &reg.counter("serve.batches");
-    m_io_retries_ = &reg.counter("serve.io_retries");
-    m_io_errors_ = &reg.counter("serve.io_errors");
-    m_hot_swaps_ = &reg.counter("serve.hot_swaps");
-    m_model_gen_ = &reg.gauge("serve.model_generation");
-    m_pinned_ = &reg.gauge("serve.pinned");
-    m_running_ = &reg.gauge("serve.running");
-    rm_latency_ = &reg.histogram("serve.latency.us");
-    rm_queue_wait_ = &reg.histogram("serve.queue_wait.us");
-    rm_extract_ = &reg.histogram("serve.extract.us");
-    rm_infer_ = &reg.histogram("serve.infer.us");
-    rm_batch_size_ = &reg.histogram("serve.batch.size");
+  MetricsRegistry& reg = metrics_;
+  m_completed_ = &reg.counter("serve.completed");
+  m_failed_ = &reg.counter("serve.failed");
+  m_shed_ = &reg.counter("serve.shed_deadline");
+  m_batches_ = &reg.counter("serve.batches");
+  m_io_retries_ = &reg.counter("serve.io_retries");
+  m_io_errors_ = &reg.counter("serve.io_errors");
+  m_hot_swaps_ = &reg.counter("serve.hot_swaps");
+  m_model_gen_ = &reg.gauge("serve.model_generation");
+  m_pinned_ = &reg.gauge("serve.pinned");
+  m_running_ = &reg.gauge("serve.running");
+  rm_latency_ = &reg.histogram("serve.latency.us");
+  rm_queue_wait_ = &reg.histogram("serve.queue_wait.us");
+  rm_extract_ = &reg.histogram("serve.extract.us");
+  rm_infer_ = &reg.histogram("serve.infer.us");
+  rm_batch_size_ = &reg.histogram("serve.batch.size");
+  base_ = reg.snapshot();
+  fb_base_ = sub_.feature_buffer->stats(FbClient::kServe);
 
+  if (ctx_.telemetry != nullptr) {
     // Tell the attributor about the serve side of the topology and register
     // a windowed p99-vs-SLO rule so the watcher alerts the moment serving
     // degrades, instead of after a run-summary aggregate drifts.
@@ -217,18 +210,17 @@ ServeEngine::~ServeEngine() {
     for (auto& t : workers_) t.join();
     workers_.clear();
     running_ = false;
-    if (m_running_ != nullptr) m_running_->sub(1);
+    m_running_->sub(1);
     if (ctx_.telemetry != nullptr) ctx_.telemetry->sampler()->release();
   }
 }
 
 void ServeEngine::start() {
   GD_CHECK_MSG(!running_, "ServeEngine::start called twice");
-  fb_at_start_ = sub_.feature_buffer->stats(FbClient::kServe);
   running_ = true;
   // Liveness + telemetry lease: /readyz keys off serve.running, and the
   // time-series sampler runs for as long as the engine accepts requests.
-  if (m_running_ != nullptr) m_running_->add(1);
+  m_running_->add(1);
   if (ctx_.telemetry != nullptr) ctx_.telemetry->sampler()->retain();
   for (std::uint32_t w = 0; w < config_.workers; ++w) {
     workers_.emplace_back([this, w] {
@@ -255,7 +247,7 @@ void ServeEngine::stop() {
   for (auto& t : workers_) t.join();
   workers_.clear();
   running_ = false;
-  if (m_running_ != nullptr) m_running_->sub(1);
+  m_running_->sub(1);
   if (ctx_.telemetry != nullptr) ctx_.telemetry->sampler()->release();
   std::lock_guard lk(err_mu_);
   if (error_) {
@@ -274,9 +266,7 @@ std::shared_ptr<const ServeEngine::ModelSet> ServeEngine::current_models()
 void ServeEngine::publish_models(std::shared_ptr<const ModelSet> set) {
   std::lock_guard lk(models_mu_);
   models_ = std::move(set);
-  if (m_model_gen_ != nullptr) {
-    m_model_gen_->set(static_cast<std::int64_t>(models_->version));
-  }
+  m_model_gen_->set(static_cast<std::int64_t>(models_->version));
 }
 
 std::uint64_t ServeEngine::model_generation() const {
@@ -308,7 +298,7 @@ std::uint64_t ServeEngine::hot_swap_from(CheckpointManager& manager,
     set->replicas.back()->copy_params_from(staged);
   }
   publish_models(std::move(set));
-  if (m_hot_swaps_ != nullptr) m_hot_swaps_->add();
+  m_hot_swaps_->add();
   GD_LOG_INFO("ServeEngine: hot-swapped to checkpoint generation %llu",
               static_cast<unsigned long long>(loaded->generation));
   return loaded->generation;
@@ -318,9 +308,7 @@ void ServeEngine::acquire_pins(std::uint64_t n) {
   std::unique_lock lk(pin_mu_);
   pin_cv_.wait(lk, [&] { return pin_budget_ - pins_in_use_ >= n; });
   pins_in_use_ += n;
-  if (m_pinned_ != nullptr) {
-    m_pinned_->set(static_cast<std::int64_t>(pins_in_use_));
-  }
+  m_pinned_->set(static_cast<std::int64_t>(pins_in_use_));
 }
 
 void ServeEngine::release_pins(std::uint64_t n) {
@@ -328,9 +316,7 @@ void ServeEngine::release_pins(std::uint64_t n) {
     std::lock_guard lk(pin_mu_);
     GD_CHECK_MSG(pins_in_use_ >= n, "serve pin accounting underflow");
     pins_in_use_ -= n;
-    if (m_pinned_ != nullptr) {
-      m_pinned_->set(static_cast<std::int64_t>(pins_in_use_));
-    }
+    m_pinned_->set(static_cast<std::int64_t>(pins_in_use_));
   }
   pin_cv_.notify_all();
 }
@@ -347,20 +333,16 @@ void ServeEngine::finish(PendingRequest& r, InferStatus status,
   res.coalesced_with = coalesced;
   switch (status) {
     case InferStatus::kOk:
-      completed_.fetch_add(1, std::memory_order_relaxed);
-      if (m_completed_ != nullptr) m_completed_->add();
+      m_completed_->add();
       // The SLO latency distribution covers served requests only; shed and
       // failed requests are counted, not timed.
-      h_latency_.add_us(res.total_us);
-      if (rm_latency_ != nullptr) rm_latency_->add_us(res.total_us);
+      rm_latency_->add_us(res.total_us);
       break;
     case InferStatus::kShedDeadline:
-      shed_deadline_.fetch_add(1, std::memory_order_relaxed);
-      if (m_shed_ != nullptr) m_shed_->add();
+      m_shed_->add();
       break;
     case InferStatus::kFailed:
-      failed_.fetch_add(1, std::memory_order_relaxed);
-      if (m_failed_ != nullptr) m_failed_->add();
+      m_failed_->add();
       break;
     case InferStatus::kRejected:
       break;  // resolved by the queue, never reaches here
@@ -401,10 +383,8 @@ void ServeEngine::process_batch(std::vector<PendingRequest>&& batch,
       ctx_.telemetry != nullptr ? ctx_.telemetry->tracer() : nullptr;
   const bool tracing = tracer != nullptr && tracer->enabled();
   const auto coalesced = static_cast<std::uint32_t>(batch.size());
-  if (m_batches_ != nullptr) m_batches_->add();
-  if (rm_batch_size_ != nullptr) {
-    rm_batch_size_->add_us(static_cast<double>(coalesced));
-  }
+  m_batches_->add();
+  rm_batch_size_->add_us(static_cast<double>(coalesced));
 
   // Deadline shedding: a request whose SLO already expired while queued is
   // resolved immediately — spending I/O on it cannot make it on-time, and
@@ -414,8 +394,7 @@ void ServeEngine::process_batch(std::vector<PendingRequest>&& batch,
   active.reserve(batch.size());
   for (PendingRequest& r : batch) {
     r.queue_us = to_seconds(picked - r.arrival) * 1e6;
-    h_queue_wait_.add_us(r.queue_us);
-    if (rm_queue_wait_ != nullptr) rm_queue_wait_->add_us(r.queue_us);
+    rm_queue_wait_->add_us(r.queue_us);
     if (r.has_deadline && config_.slo.shed_expired && picked > r.deadline) {
       finish(r, InferStatus::kShedDeadline, -1, coalesced, picked);
     } else {
@@ -466,9 +445,7 @@ void ServeEngine::process_batch(std::vector<PendingRequest>&& batch,
     acquire_pins(need);
     const TimePoint te = Clock::now();
     const bool extracted = extract_batch(sb, ws);
-    const double extract_us = to_seconds(Clock::now() - te) * 1e6;
-    h_extract_.add_us(extract_us);
-    if (rm_extract_ != nullptr) rm_extract_->add_us(extract_us);
+    rm_extract_->add_us(to_seconds(Clock::now() - te) * 1e6);
     if (tracing) {
       tracer->record(kSpanServeExtract, batch_id, 0, te, Clock::now());
     }
@@ -491,9 +468,7 @@ void ServeEngine::process_batch(std::vector<PendingRequest>&& batch,
         BusyScope busy(ctx_.telemetry);
         run();
       }
-      const double infer_us = to_seconds(Clock::now() - ti) * 1e6;
-      h_infer_.add_us(infer_us);
-      if (rm_infer_ != nullptr) rm_infer_->add_us(infer_us);
+      rm_infer_->add_us(to_seconds(Clock::now() - ti) * 1e6);
       if (tracing) {
         tracer->record(kSpanServeInfer, batch_id, 0, ti, Clock::now());
       }
@@ -569,14 +544,8 @@ bool ServeEngine::extract_batch(SampledBatch& batch, WorkerState& ws) {
   ExtractCounters ec;
   bool ok = extract_load_set(batch, load_idx, env, policy, ws.hooks, ec,
                              nullptr);
-  if (ec.io_errors > 0) {
-    io_errors_.fetch_add(ec.io_errors, std::memory_order_relaxed);
-    if (m_io_errors_ != nullptr) m_io_errors_->add(ec.io_errors);
-  }
-  if (ec.io_retries > 0) {
-    io_retries_.fetch_add(ec.io_retries, std::memory_order_relaxed);
-    if (m_io_retries_ != nullptr) m_io_retries_->add(ec.io_retries);
-  }
+  if (ec.io_errors > 0) m_io_errors_->add(ec.io_errors);
+  if (ec.io_retries > 0) m_io_retries_->add(ec.io_retries);
 
   // Wait-list resolution: nodes a training extractor (or a sibling serve
   // worker) is loading. The loader always resolves them; the timeout only
@@ -586,37 +555,39 @@ bool ServeEngine::extract_batch(SampledBatch& batch, WorkerState& ws) {
 }
 
 ServeReport ServeEngine::report() const {
-  ServeReport r;
-  r.submitted = queue_.submitted();
-  r.rejected = queue_.rejected();
-  r.completed = completed_.load(std::memory_order_relaxed);
-  r.failed = failed_.load(std::memory_order_relaxed);
-  r.shed_deadline = shed_deadline_.load(std::memory_order_relaxed);
-  r.batches = coalescer_.batches();
-  r.coalesce_factor = coalescer_.coalesce_factor();
-  r.io_errors = io_errors_.load(std::memory_order_relaxed);
-  r.io_retries = io_retries_.load(std::memory_order_relaxed);
-  const auto fill = [](StageLatency& s, const ConcurrentHistogram& h) {
-    const LatencyHistogram lh = h.snapshot();
-    s.count = lh.count();
-    s.mean_us = lh.mean_us();
-    s.p50_us = lh.percentile_us(0.50);
-    s.p95_us = lh.percentile_us(0.95);
-    s.p99_us = lh.percentile_us(0.99);
+  const MetricsRegistry::Snapshot now = metrics_.snapshot();
+  const auto count = [&](const char* name) {
+    return now.counter(name) - base_.counter(name);
   };
-  fill(r.queue_wait, h_queue_wait_);
-  fill(r.extract, h_extract_);
-  fill(r.infer, h_infer_);
-  fill(r.latency, h_latency_);
+  const auto window = [&](const char* name) {
+    return now.histogram(name).diff_since(base_.histogram(name));
+  };
+  ServeReport r;
+  r.submitted = count("serve.submitted");
+  r.rejected = count("serve.rejected");
+  r.completed = count("serve.completed");
+  r.failed = count("serve.failed");
+  r.shed_deadline = count("serve.shed_deadline");
+  r.batches = count("serve.batches");
+  r.io_errors = count("serve.io_errors");
+  r.io_retries = count("serve.io_retries");
+  // serve.batch.size holds one sample per micro-batch whose value is its
+  // request count, so its mean is the coalesce factor.
+  r.coalesce_factor = window("serve.batch.size").mean_us();
+  r.queue_wait = StageLatency::of(window("serve.queue_wait.us"));
+  r.extract = StageLatency::of(window("serve.extract.us"));
+  r.infer = StageLatency::of(window("serve.infer.us"));
+  r.latency = StageLatency::of(window("serve.latency.us"));
   // Serve-attributed counters only: training traffic on the shared buffer
   // must not inflate (or dilute) the serve hit rate.
-  const FeatureBufferStats now = sub_.feature_buffer->stats(FbClient::kServe);
-  FeatureBufferStats delta;
-  delta.hot_hits = now.hot_hits - fb_at_start_.hot_hits;
-  delta.reuse_hits = now.reuse_hits - fb_at_start_.reuse_hits;
-  delta.wait_hits = now.wait_hits - fb_at_start_.wait_hits;
-  delta.loads = now.loads - fb_at_start_.loads;
-  r.fb_hit_rate = delta.hit_rate();
+  const FeatureBufferStats fb_now =
+      sub_.feature_buffer->stats(FbClient::kServe);
+  FeatureBufferStats fb;
+  fb.hot_hits = fb_now.hot_hits - fb_base_.hot_hits;
+  fb.reuse_hits = fb_now.reuse_hits - fb_base_.reuse_hits;
+  fb.wait_hits = fb_now.wait_hits - fb_base_.wait_hits;
+  fb.loads = fb_now.loads - fb_base_.loads;
+  r.fb_hit_rate = fb.hit_rate();
   r.queue_depth_max = queue_.max_depth();
   return r;
 }

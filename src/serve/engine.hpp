@@ -106,7 +106,9 @@ class ServeEngine : NonCopyable {
   /// generation of the last hot swap (refresh_params keeps the version).
   std::uint64_t model_generation() const;
 
-  /// Aggregate serving report (also published under "serve.*" metrics).
+  /// Aggregate serving report: the serve.* registry instruments' diffs
+  /// since this engine was constructed (so submissions queued before
+  /// start() count). Engines sharing one Telemetry share those instruments.
   ServeReport report() const;
   /// Max nodes serving may pin concurrently (num_slots - reserved_slots).
   std::uint64_t pin_budget() const { return pin_budget_; }
@@ -135,6 +137,10 @@ class ServeEngine : NonCopyable {
   ServeConfig config_;
   ServeSubstrate sub_;
   NeighborSampler sampler_;
+  /// The registry serving counts into: the telemetry's, else
+  /// owned_metrics_.
+  std::unique_ptr<MetricsRegistry> owned_metrics_;
+  MetricsRegistry& metrics_;
   RequestQueue queue_;
   MicroBatchCoalescer coalescer_;
 
@@ -158,32 +164,26 @@ class ServeEngine : NonCopyable {
   std::mutex err_mu_;
   std::exception_ptr error_;
 
-  // Run accounting (always on) + optional registry mirrors.
-  std::atomic<std::uint64_t> completed_{0};
-  std::atomic<std::uint64_t> failed_{0};
-  std::atomic<std::uint64_t> shed_deadline_{0};
-  std::atomic<std::uint64_t> io_errors_{0};
-  std::atomic<std::uint64_t> io_retries_{0};
-  ConcurrentHistogram h_queue_wait_;
-  ConcurrentHistogram h_extract_;
-  ConcurrentHistogram h_infer_;
-  ConcurrentHistogram h_latency_;
-  FeatureBufferStats fb_at_start_{};
-  Counter* m_completed_ = nullptr;      ///< serve.completed
-  Counter* m_failed_ = nullptr;         ///< serve.failed
-  Counter* m_shed_ = nullptr;           ///< serve.shed_deadline
-  Counter* m_batches_ = nullptr;        ///< serve.batches
-  Counter* m_io_retries_ = nullptr;     ///< serve.io_retries
-  Counter* m_io_errors_ = nullptr;      ///< serve.io_errors
-  Counter* m_hot_swaps_ = nullptr;      ///< serve.hot_swaps
-  Gauge* m_model_gen_ = nullptr;        ///< serve.model_generation
-  Gauge* m_pinned_ = nullptr;           ///< serve.pinned (nodes pinned)
-  Gauge* m_running_ = nullptr;          ///< serve.running (/readyz liveness)
-  ConcurrentHistogram* rm_latency_ = nullptr;     ///< serve.latency.us
-  ConcurrentHistogram* rm_queue_wait_ = nullptr;  ///< serve.queue_wait.us
-  ConcurrentHistogram* rm_extract_ = nullptr;     ///< serve.extract.us
-  ConcurrentHistogram* rm_infer_ = nullptr;       ///< serve.infer.us
-  ConcurrentHistogram* rm_batch_size_ = nullptr;  ///< serve.batch.size
+  // serve.* instruments, resolved once from metrics_ (the request queue
+  // counts serve.submitted / serve.rejected). report() diffs them against
+  // base_ and fb_base_, taken at construction.
+  Counter* m_completed_;              ///< serve.completed
+  Counter* m_failed_;                 ///< serve.failed
+  Counter* m_shed_;                   ///< serve.shed_deadline
+  Counter* m_batches_;                ///< serve.batches
+  Counter* m_io_retries_;             ///< serve.io_retries
+  Counter* m_io_errors_;              ///< serve.io_errors
+  Counter* m_hot_swaps_;              ///< serve.hot_swaps
+  Gauge* m_model_gen_;                ///< serve.model_generation
+  Gauge* m_pinned_;                   ///< serve.pinned (nodes pinned)
+  Gauge* m_running_;                  ///< serve.running (/readyz liveness)
+  ConcurrentHistogram* rm_latency_;     ///< serve.latency.us
+  ConcurrentHistogram* rm_queue_wait_;  ///< serve.queue_wait.us
+  ConcurrentHistogram* rm_extract_;     ///< serve.extract.us
+  ConcurrentHistogram* rm_infer_;       ///< serve.infer.us
+  ConcurrentHistogram* rm_batch_size_;  ///< serve.batch.size
+  MetricsRegistry::Snapshot base_;
+  FeatureBufferStats fb_base_;  ///< the serve client's triage counts
 };
 
 }  // namespace gnndrive

@@ -73,9 +73,8 @@ struct ServeConfig {
   CoalesceConfig coalesce;
 };
 
-/// End-of-run serving report: the epoch-style summary for the serve path.
-/// Percentile rows come from the always-on concurrent histograms; the same
-/// numbers are published under "serve.*" in the metrics registry.
+/// End-of-run serving report: the epoch-style summary for the serve path,
+/// computed from the "serve.*" registry instruments (ServeEngine::report).
 struct ServeReport {
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;

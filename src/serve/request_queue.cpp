@@ -1,20 +1,17 @@
 #include "serve/request_queue.hpp"
 
-#include "obs/metrics.hpp"
-#include "util/telemetry.hpp"
-
 namespace gnndrive {
 
-RequestQueue::RequestQueue(const ServeConfig& config, Telemetry* telemetry)
+RequestQueue::RequestQueue(const ServeConfig& config,
+                           MetricsRegistry& registry)
     : deadline_ms_(config.slo.deadline_ms),
-      q_(std::max<std::size_t>(config.queue_capacity, 1)) {
-  if (telemetry != nullptr) {
-    MetricsRegistry& reg = *telemetry->metrics();
-    m_submitted_ = &reg.counter("serve.submitted");
-    m_rejected_ = &reg.counter("serve.rejected");
-    q_.bind_metrics(&reg.gauge("serve.queue.depth"), nullptr,
-                    &reg.counter("serve.queue.pop_blocked"));
-  }
+      q_(std::max<std::size_t>(config.queue_capacity, 1)),
+      submitted_(registry.counter("serve.submitted")),
+      rejected_(registry.counter("serve.rejected")) {
+  // Admission never blocks (try_push sheds), so push_blocked stays 0.
+  q_.bind_metrics(registry.gauge("serve.queue.depth"),
+                  registry.counter("serve.queue.push_blocked"),
+                  registry.counter("serve.queue.pop_blocked"));
 }
 
 std::future<InferResult> RequestQueue::submit(NodeId node) {
@@ -27,13 +24,11 @@ std::future<InferResult> RequestQueue::submit(NodeId node) {
     r.deadline = r.arrival + from_us(deadline_ms_ * 1e3);
   }
   std::future<InferResult> fut = r.promise.get_future();
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  if (m_submitted_ != nullptr) m_submitted_->add();
+  submitted_.add();
   // try_push moves the request out only on success, so the promise is still
   // ours to resolve on the rejection path.
   if (!q_.try_push(r)) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    if (m_rejected_ != nullptr) m_rejected_->add();
+    rejected_.add();
     InferResult res;
     res.request_id = r.id;
     res.status = InferStatus::kRejected;

@@ -19,8 +19,6 @@
 
 namespace gnndrive {
 
-class Telemetry;
-
 /// One admitted request in flight through the serving pipeline. Moved from
 /// the queue into a micro-batch; the promise is resolved exactly once by
 /// whichever stage terminates the request.
@@ -36,9 +34,9 @@ struct PendingRequest {
 
 class RequestQueue : NonCopyable {
  public:
-  /// `telemetry` (optional) publishes serve.submitted / serve.rejected and
-  /// the serve.queue.depth gauge into the metrics registry.
-  RequestQueue(const ServeConfig& config, Telemetry* telemetry);
+  /// Counts serve.submitted / serve.rejected and publishes the
+  /// serve.queue.depth gauge into `registry` (the serve engine's).
+  RequestQueue(const ServeConfig& config, MetricsRegistry& registry);
 
   /// Admits or sheds. Never blocks: on a full (or closed) queue the
   /// promise is resolved with kRejected before returning. The returned
@@ -57,21 +55,13 @@ class RequestQueue : NonCopyable {
 
   std::size_t depth() const { return q_.size(); }
   std::size_t max_depth() const { return q_.max_size(); }
-  std::uint64_t submitted() const {
-    return submitted_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t rejected() const {
-    return rejected_.load(std::memory_order_relaxed);
-  }
 
  private:
   const double deadline_ms_;
   BoundedQueue<PendingRequest> q_;
   std::atomic<std::uint64_t> next_id_{1};
-  std::atomic<std::uint64_t> submitted_{0};
-  std::atomic<std::uint64_t> rejected_{0};
-  Counter* m_submitted_ = nullptr;  ///< serve.submitted
-  Counter* m_rejected_ = nullptr;   ///< serve.rejected
+  Counter& submitted_;  ///< serve.submitted
+  Counter& rejected_;   ///< serve.rejected
 };
 
 }  // namespace gnndrive

@@ -130,6 +130,7 @@ SsdDevice::SsdDevice(SsdConfig config, std::shared_ptr<SsdBackend> backend)
     : config_(config), backend_(std::move(backend)) {
   GD_CHECK(config_.channels > 0);
   channel_free_.assign(config_.channels, Clock::now());
+  set_telemetry(nullptr);
   device_thread_ = std::thread([this] { device_loop(); });
 }
 
@@ -284,9 +285,7 @@ bool SsdDevice::try_cancel(std::uint64_t token) {
   ++stats_.cancelled;
   mirror_stats_locked();
   --in_flight_;
-  if (m_.pending != nullptr) {
-    m_.pending->set(static_cast<std::int64_t>(in_flight_));
-  }
+  m_.pending->set(static_cast<std::int64_t>(in_flight_));
   if (in_flight_ == 0) drained_.notify_all();
   cv_.notify_one();
   return true;
@@ -353,19 +352,10 @@ SsdStats SsdDevice::stats() const {
   return stats_;
 }
 
-void SsdDevice::reset_stats() {
-  std::lock_guard lock(mu_);
-  stats_ = SsdStats{};
-  mirror_stats_locked();
-}
-
 void SsdDevice::set_telemetry(Telemetry* telemetry) {
   std::lock_guard lock(mu_);
-  if (telemetry == nullptr) {
-    m_ = StatCounters{};
-    return;
-  }
-  MetricsRegistry& reg = *telemetry->metrics();
+  MetricsRegistry& reg =
+      telemetry != nullptr ? *telemetry->metrics() : own_metrics_;
   m_.reads = &reg.counter("ssd.reads");
   m_.writes = &reg.counter("ssd.writes");
   m_.bytes_read = &reg.counter("ssd.bytes_read");
@@ -380,7 +370,6 @@ void SsdDevice::set_telemetry(Telemetry* telemetry) {
 }
 
 void SsdDevice::mirror_stats_locked() {
-  if (m_.reads == nullptr) return;
   m_.reads->store(stats_.reads);
   m_.writes->store(stats_.writes);
   m_.bytes_read->store(stats_.bytes_read);
@@ -390,9 +379,7 @@ void SsdDevice::mirror_stats_locked() {
   m_.injected_spikes->store(stats_.injected_spikes);
   m_.injected_stuck->store(stats_.injected_stuck);
   m_.cancelled->store(stats_.cancelled);
-  if (m_.pending != nullptr) {
-    m_.pending->set(static_cast<std::int64_t>(in_flight_));
-  }
+  m_.pending->set(static_cast<std::int64_t>(in_flight_));
 }
 
 void SsdDevice::device_loop() {
@@ -416,9 +403,7 @@ void SsdDevice::device_loop() {
       // completion never runs) instead of blocking destruction for a year.
       pending_.pop();
       --in_flight_;
-      if (m_.pending != nullptr) {
-        m_.pending->set(static_cast<std::int64_t>(in_flight_));
-      }
+      m_.pending->set(static_cast<std::int64_t>(in_flight_));
       if (in_flight_ == 0) drained_.notify_all();
       continue;
     }
@@ -427,9 +412,12 @@ void SsdDevice::device_loop() {
       continue;
     }
     // Completion: move the request out, do the data movement and callback
-    // without holding the lock.
+    // without holding the lock. The depth gauge is published first, so the
+    // caller the completion wakes is ordered after this thread's last touch
+    // of the registry (which may be destroyed before the device).
     Pending req = std::move(const_cast<Pending&>(pending_.top()));
     pending_.pop();
+    m_.pending->set(static_cast<std::int64_t>(in_flight_ - 1));
     lock.unlock();
     std::int32_t res = req.injected_res;
     if (res == 0) {
@@ -441,9 +429,6 @@ void SsdDevice::device_loop() {
     if (req.on_complete) req.on_complete(cqe_res);
     lock.lock();
     --in_flight_;
-    if (m_.pending != nullptr) {
-      m_.pending->set(static_cast<std::int64_t>(in_flight_));
-    }
     if (in_flight_ == 0) drained_.notify_all();
   }
 }

@@ -33,13 +33,12 @@
 #include <unordered_set>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "util/common.hpp"
 #include "util/rng.hpp"
 
 namespace gnndrive {
 
-class Counter;
-class Gauge;
 class Telemetry;
 
 /// Storage for the simulated drive's contents. read/write return 0 on
@@ -208,13 +207,14 @@ class SsdDevice : NonCopyable {
 
   const SsdConfig& config() const { return config_; }
   SsdBackend& backend() { return *backend_; }
+  /// Monotonic since construction; diff two reads for a window.
   SsdStats stats() const;
-  void reset_stats();
 
   /// Mirrors SsdStats into `telemetry`'s metrics registry under "ssd.*"
   /// counters (reads, writes, bytes_read, bytes_written, busy_us,
   /// injected_eio, injected_spikes, injected_stuck, cancelled), updated at
-  /// every submit/cancel. Pass nullptr to stop mirroring.
+  /// every submit/cancel. Until then, and after nullptr, the mirror goes to
+  /// a registry the device owns.
   void set_telemetry(Telemetry* telemetry);
 
   /// Modeled service time for a request of `len` bytes (no queueing).
@@ -237,7 +237,7 @@ class SsdDevice : NonCopyable {
   };
 
   void device_loop();
-  /// Publishes stats_ into the ssd.* counters (no-op without telemetry).
+  /// Publishes stats_ into the ssd.* counters.
   void mirror_stats_locked();
 
   const SsdConfig config_;
@@ -255,18 +255,20 @@ class SsdDevice : NonCopyable {
   SsdStats stats_;
   std::unique_ptr<FaultInjector> injector_;  ///< null when faults are off
 
-  // Observability mirrors (all null without set_telemetry).
+  // Observability mirror: a view of stats_, resolved from the telemetry's
+  // registry by set_telemetry() or from own_metrics_.
+  MetricsRegistry own_metrics_;
   struct StatCounters {
-    Counter* reads = nullptr;
-    Counter* writes = nullptr;
-    Counter* bytes_read = nullptr;
-    Counter* bytes_written = nullptr;
-    Counter* busy_us = nullptr;
-    Counter* injected_eio = nullptr;
-    Counter* injected_spikes = nullptr;
-    Counter* injected_stuck = nullptr;
-    Counter* cancelled = nullptr;
-    Gauge* pending = nullptr;  ///< ssd.pending (device queue depth)
+    Counter* reads;
+    Counter* writes;
+    Counter* bytes_read;
+    Counter* bytes_written;
+    Counter* busy_us;
+    Counter* injected_eio;
+    Counter* injected_spikes;
+    Counter* injected_stuck;
+    Counter* cancelled;
+    Gauge* pending;  ///< ssd.pending (device queue depth)
   } m_;
 
   std::thread device_thread_;

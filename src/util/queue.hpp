@@ -26,23 +26,22 @@ class BoundedQueue : NonCopyable {
   }
 
   /// Observability: publishes the queue depth into `depth` (updated under
-  /// the queue lock) and counts producer/consumer blocking events. All
-  /// pointers optional; the bound instruments must outlive the queue.
-  void bind_metrics(Gauge* depth, Counter* push_blocked = nullptr,
-                    Counter* pop_blocked = nullptr) {
+  /// the queue lock) and counts producer/consumer blocking events into the
+  /// given registry instruments, which must outlive the queue. An unbound
+  /// queue counts into instruments of its own.
+  void bind_metrics(Gauge& depth, Counter& push_blocked,
+                    Counter& pop_blocked) {
     std::lock_guard lock(mu_);
-    depth_ = depth;
-    push_blocked_ = push_blocked;
-    pop_blocked_ = pop_blocked;
-    if (depth_ != nullptr) depth_->set(static_cast<std::int64_t>(items_.size()));
+    depth_ = &depth;
+    push_blocked_ = &push_blocked;
+    pop_blocked_ = &pop_blocked;
+    depth_->set(static_cast<std::int64_t>(items_.size()));
   }
 
   /// Blocks until space is available. Returns false if the queue was closed.
   bool push(T item) {
     std::unique_lock lock(mu_);
-    if (push_blocked_ != nullptr && items_.size() >= capacity_ && !closed_) {
-      push_blocked_->add();
-    }
+    if (items_.size() >= capacity_ && !closed_) push_blocked_->add();
     not_full_.wait(lock, [&] { return items_.size() < capacity_ || closed_; });
     if (closed_) return false;
     items_.push_back(std::move(item));
@@ -56,9 +55,7 @@ class BoundedQueue : NonCopyable {
   /// references during an epoch abort). nullopt means the push succeeded.
   std::optional<T> push_or_reclaim(T item) {
     std::unique_lock lock(mu_);
-    if (push_blocked_ != nullptr && items_.size() >= capacity_ && !closed_) {
-      push_blocked_->add();
-    }
+    if (items_.size() >= capacity_ && !closed_) push_blocked_->add();
     not_full_.wait(lock, [&] { return items_.size() < capacity_ || closed_; });
     if (closed_) return std::optional<T>(std::move(item));
     items_.push_back(std::move(item));
@@ -70,9 +67,7 @@ class BoundedQueue : NonCopyable {
   /// Blocks until an item is available. Empty optional means closed & drained.
   std::optional<T> pop() {
     std::unique_lock lock(mu_);
-    if (pop_blocked_ != nullptr && items_.empty() && !closed_) {
-      pop_blocked_->add();
-    }
+    if (items_.empty() && !closed_) pop_blocked_->add();
     not_empty_.wait(lock, [&] { return !items_.empty() || closed_; });
     if (items_.empty()) return std::nullopt;
     T item = std::move(items_.front());
@@ -115,9 +110,7 @@ class BoundedQueue : NonCopyable {
   /// coalescer's max-wait window and usable by watchdog polls.
   std::optional<T> try_pop_for(Duration timeout) {
     std::unique_lock lock(mu_);
-    if (pop_blocked_ != nullptr && items_.empty() && !closed_) {
-      pop_blocked_->add();
-    }
+    if (items_.empty() && !closed_) pop_blocked_->add();
     not_empty_.wait_for(lock, timeout,
                         [&] { return !items_.empty() || closed_; });
     if (items_.empty()) return std::nullopt;
@@ -171,7 +164,7 @@ class BoundedQueue : NonCopyable {
  private:
   void note_depth_locked() {
     max_size_ = std::max(max_size_, items_.size());
-    if (depth_ != nullptr) depth_->set(static_cast<std::int64_t>(items_.size()));
+    depth_->set(static_cast<std::int64_t>(items_.size()));
   }
 
   const std::size_t capacity_;
@@ -181,9 +174,12 @@ class BoundedQueue : NonCopyable {
   std::deque<T> items_;
   std::size_t max_size_ = 0;
   bool closed_ = false;
-  Gauge* depth_ = nullptr;
-  Counter* push_blocked_ = nullptr;
-  Counter* pop_blocked_ = nullptr;
+  Gauge own_depth_;
+  Counter own_push_blocked_;
+  Counter own_pop_blocked_;
+  Gauge* depth_ = &own_depth_;
+  Counter* push_blocked_ = &own_push_blocked_;
+  Counter* pop_blocked_ = &own_pop_blocked_;
 };
 
 }  // namespace gnndrive

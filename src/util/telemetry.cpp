@@ -17,6 +17,13 @@ thread_local double tl_io_wait_seconds = 0.0;
 double thread_io_wait_seconds() { return tl_io_wait_seconds; }
 void add_thread_io_wait(double seconds) { tl_io_wait_seconds += seconds; }
 
+MetricsRegistry& registry_or_own(Telemetry* telemetry,
+                                 std::unique_ptr<MetricsRegistry>& owned) {
+  if (telemetry != nullptr) return *telemetry->metrics();
+  owned = std::make_unique<MetricsRegistry>();
+  return *owned;
+}
+
 Telemetry::Telemetry(double bucket_ms, std::size_t max_buckets)
     : bucket_ms_(bucket_ms), cells_(max_buckets),
       metrics_(std::make_unique<MetricsRegistry>()),

@@ -110,6 +110,14 @@ class Telemetry {
   std::unique_ptr<SloWatcher> slo_;
 };
 
+/// The registry a component counts into: `telemetry`'s when one is given,
+/// else `owned`, which this allocates. Components resolve their instruments
+/// from it once, so no instrument pointer is ever null, and read their
+/// public stats back from those instruments. Instances that share one
+/// Telemetry share its instruments, exactly as /metrics sees them.
+MetricsRegistry& registry_or_own(Telemetry* telemetry,
+                                 std::unique_ptr<MetricsRegistry>& owned);
+
 /// Thread-local accumulator of I/O-wait seconds, so compute scopes can
 /// subtract time the thread actually spent blocked on storage.
 double thread_io_wait_seconds();

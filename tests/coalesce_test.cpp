@@ -613,10 +613,10 @@ TEST(CoalesceEndToEnd, TrainingFeaturesExactAndReadsDropWithCoalescing) {
     cfg.gds_mode = target == Target::kGds;
     GnnDrive system(ctx, cfg);
     system.run_epoch(100);  // warm: topology resident in the page cache
-    ssd->reset_stats();
+    const auto reads_before = ssd->stats().reads;
     const auto loads_before = system.feature_buffer().stats().loads;
     const EpochStats stats = system.run_epoch(0);
-    *reads = ssd->stats().reads;
+    *reads = ssd->stats().reads - reads_before;
     *loads = system.feature_buffer().stats().loads - loads_before;
     *obs = stats.obs;
     // Whatever the I/O shape, buffered features must be the disk bytes.

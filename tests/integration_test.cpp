@@ -182,11 +182,11 @@ TEST_F(IntegrationFixture, ExtractionCountsMatchDeviceTraffic) {
   cfg.common = common();
   GnnDrive system(env.ctx, cfg);
   system.run_epoch(100);  // warm: topology resident
-  env.ssd->reset_stats();
+  const auto reads_before = env.ssd->stats().reads;
   const auto loads_before = system.feature_buffer().stats().loads;
   const EpochStats stats = system.run_epoch(0);
   const auto loads = system.feature_buffer().stats().loads - loads_before;
-  const auto reads = env.ssd->stats().reads;
+  const auto reads = env.ssd->stats().reads - reads_before;
   EXPECT_EQ(stats.obs.io_rows, loads);  // every load rode exactly one segment
   EXPECT_LE(stats.obs.io_segments, loads);
   EXPECT_GE(reads, stats.obs.io_segments);  // one SSD read per segment

@@ -329,7 +329,7 @@ TEST(LayoutCompile, PackedHotPrefetchUsesFarFewerReads) {
     auto env = make_env(ds);
     FeatureBuffer fb(FeatureBufferConfig{512, ds.spec().feature_dim},
                      ds.spec().num_nodes);
-    env.ssd->reset_stats();
+    const std::uint64_t reads_before = env.ssd->stats().reads;
     const HotPrefetchStats st =
         prefetch_hot_rows(fb, hot, ds, *env.ssd, coalesce);
     EXPECT_EQ(st.rows, hot.size());
@@ -345,7 +345,7 @@ TEST(LayoutCompile, PackedHotPrefetchUsesFarFewerReads) {
                 0)
           << "node " << v;
     }
-    return env.ssd->stats().reads;
+    return env.ssd->stats().reads - reads_before;
   };
 
   const std::uint64_t identity_reads = prefetch_reads();

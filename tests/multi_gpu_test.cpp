@@ -84,6 +84,29 @@ TEST_F(MultiGpuFixture, BatchCountsEqualAcrossReplicas) {
   EXPECT_GT(stats.batches, 0u);
 }
 
+TEST_F(MultiGpuFixture, FailingReplicaThrowsInsteadOfAborting) {
+  auto env = make_env();
+  // Low node ids are the synthetic graph's hubs: a bad range over their
+  // feature rows fails every batch of every replica.
+  const auto& lay = dataset->layout();
+  SsdFaultConfig faults;
+  faults.enabled = true;
+  faults.bad_ranges.push_back(
+      {lay.features_offset, lay.features_offset + 16 * lay.feature_row_bytes});
+  env.ssd->set_fault_config(faults);
+  MultiGpuConfig cfg = config(2);
+  cfg.replica.fault.fail_fast = true;
+  cfg.replica.fault.backoff_initial_us = 10.0;
+  MultiGpuGnnDrive system(env.ctx, cfg);
+  EXPECT_THROW(system.run_epoch(0), std::runtime_error);
+
+  // The failed epoch left no hook on the dead barrier: a replica trains on
+  // its own, and the group trains together once the device heals.
+  env.ssd->set_fault_config(SsdFaultConfig{});
+  EXPECT_GT(system.replica(0).run_epoch(1).result.trained_batches, 0u);
+  EXPECT_GT(system.run_epoch(2).batches, 0u);
+}
+
 TEST_F(MultiGpuFixture, SingleReplicaMatchesPlainPipeline) {
   auto env = make_env();
   MultiGpuGnnDrive system(env.ctx, config(1));

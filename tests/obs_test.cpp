@@ -420,8 +420,8 @@ TEST_F(ObsPipelineFixture, EpochObsReportPopulated) {
   for (const auto& [name, v] : snap.counters) counters.insert(name);
   for (const auto& [name, v] : snap.gauges) gauges.insert(name);
   for (const auto& [name, v] : snap.histograms) histograms.insert(name);
-  for (const char* c : {"fb.loads", "fb.reuse_hits", "io.submitted",
-                        "ssd.reads", "fault.io_errors"}) {
+  for (const char* c : {"fb.train.loads", "fb.train.reuse_hits",
+                        "io.submitted", "ssd.reads", "fault.io_errors"}) {
     EXPECT_TRUE(counters.count(c)) << c;
   }
   for (const char* g :
