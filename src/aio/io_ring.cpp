@@ -110,7 +110,8 @@ void IoRing::submit_one(const Sqe& sqe) {
       [this, buffered, offset, len, ring_id](std::int32_t res) {
         if (buffered && res >= 0) cache_->note_resident(offset, len);
         complete(ring_id, res);
-      });
+      },
+      config_.io_class);
   {
     // The completion may already have fired and erased the entry; only a
     // still-live entry learns its device token (needed for cancellation).

@@ -20,7 +20,7 @@
 // submission timestamps so a stage watchdog can cancel_expired() overdue
 // requests — each cancelled request synthesizes a CQE with -ETIMEDOUT, and
 // the device guarantees a cancelled request never touches its buffer (no
-// use-after-reuse of staging rows).
+// use-after-reuse of staging bytes).
 #pragma once
 
 #include <condition_variable>
@@ -49,9 +49,12 @@ struct IoRingConfig {
   /// Upper bound on one request's length; longer (or zero-length) requests
   /// complete with -EINVAL, like a block layer's max_sectors_kb limit.
   /// 0 disables the cap (zero-length requests still fail). Callers that
-  /// coalesce reads set this to their staging-row size so a planner bug
-  /// can never scribble past a staging slot.
+  /// coalesce reads set this to their largest segment so a planner bug can
+  /// never scribble past its staging bytes.
   std::uint32_t max_transfer_bytes = 0;
+  /// Device arbitration class of the ring's requests (buffered misses
+  /// included): serve rings are latency-class, bulk extraction throughput.
+  IoClass io_class = IoClass::kThroughput;
 };
 
 class IoRing : NonCopyable {

@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <cstring>
 #include <mutex>
+#include <thread>
 
 #include "gpu/gpu.hpp"
 #include "obs/metrics.hpp"
@@ -52,20 +53,90 @@ std::uint32_t staging_row_bytes_for(const CoalesceConfig& coalesce,
   return std::max(rounded, covering_row_bytes);
 }
 
-std::uint32_t staging_rows_for(const CoalesceConfig& coalesce,
+std::uint32_t staging_rows_for(const CoalesceConfig& /*coalesce*/,
                                std::uint32_t ring_depth) {
-  if (!coalesce.enabled) return std::max(ring_depth, 1u);
-  // Extraction latency scales with in-flight depth well past the device's
-  // channel count (requests overlap their base latency), so the pool only
-  // shrinks when wide segment rows would blow the pinned-staging budget:
-  // keep ~6 MiB of rows per extractor, but never fewer than 64 in flight.
-  // (6 MiB keeps four extractors' pools inside the bench's default host
-  // budget so coalescing never costs an extractor at the default caps.)
-  const std::uint32_t row_bytes = static_cast<std::uint32_t>(
-      round_up(std::max(coalesce.max_coalesce_bytes, 1u), kSectorSize));
-  const std::uint32_t budget_rows =
-      static_cast<std::uint32_t>((6u << 20) / std::max(row_bytes, 1u));
-  return std::min(std::max(budget_rows, 64u), std::max(ring_depth, 1u));
+  return std::max(ring_depth, 1u);
+}
+
+std::uint64_t staging_arena_bytes(std::uint32_t ring_depth,
+                                  std::uint32_t max_segment_bytes) {
+  const std::uint64_t depth = std::max(ring_depth, 1u);
+  return std::clamp<std::uint64_t>(depth * kPageSize, max_segment_bytes,
+                                   depth * max_segment_bytes);
+}
+
+StagingArena::StagingArena(std::uint64_t bytes, std::uint32_t max_blocks,
+                           std::uint32_t align)
+    : align_(align), capacity_(round_down(bytes, align)),
+      max_blocks_(max_blocks) {
+  GD_CHECK(align > 0 && max_blocks > 0);
+  if (capacity_ > 0) free_.emplace(0, capacity_);
+}
+
+bool StagingArena::fits_locked(std::uint64_t need) const {
+  if (blocks_ == max_blocks_) return false;
+  for (const auto& [off, len] : free_) {
+    if (len >= need) return true;
+  }
+  return false;
+}
+
+std::optional<std::uint64_t> StagingArena::allocate(std::uint32_t len) {
+  const std::uint64_t need = round_up(len, align_);
+  std::lock_guard lk(mu_);
+  if (blocks_ == max_blocks_) return std::nullopt;
+  for (auto it = free_.begin(); it != free_.end(); ++it) {
+    if (it->second < need) continue;
+    const std::uint64_t off = it->first;
+    const std::uint64_t rest = it->second - need;
+    free_.erase(it);
+    if (rest > 0) free_.emplace(off + need, rest);
+    ++blocks_;
+    return off;
+  }
+  return std::nullopt;
+}
+
+void StagingArena::release(std::uint64_t offset, std::uint32_t len) {
+  const std::uint64_t need = round_up(len, align_);
+  std::uint64_t begin = offset;
+  std::uint64_t size = need;
+  std::lock_guard lk(mu_);
+  GD_CHECK_MSG(blocks_ > 0 && offset + need <= capacity_,
+               "StagingArena: release of bytes it never handed out");
+  auto next = free_.lower_bound(offset);
+  GD_CHECK_MSG(next == free_.end() || next->first >= offset + need,
+               "StagingArena: release overlaps free bytes");
+  if (next != free_.begin()) {
+    const auto prev = std::prev(next);
+    GD_CHECK_MSG(prev->first + prev->second <= offset,
+                 "StagingArena: release overlaps free bytes");
+    if (prev->first + prev->second == offset) {  // merge with the block below
+      begin = prev->first;
+      size += prev->second;
+      free_.erase(prev);
+    }
+  }
+  if (next != free_.end() && next->first == offset + need) {  // ...and above
+    size += next->second;
+    free_.erase(next);
+  }
+  free_.emplace(begin, size);
+  --blocks_;
+  // Under the lock: the waiter may own this arena and destroy it as soon
+  // as its predicate holds.
+  freed_.notify_all();
+}
+
+bool StagingArena::wait_fit_until(std::uint32_t len, TimePoint deadline) {
+  const std::uint64_t need = round_up(len, align_);
+  std::unique_lock lk(mu_);
+  return freed_.wait_until(lk, deadline, [&] { return fits_locked(need); });
+}
+
+std::size_t StagingArena::free_blocks() const {
+  std::lock_guard lk(mu_);
+  return free_.size();
 }
 
 SegmentPlan plan_segments(const std::vector<std::uint32_t>& load_idx,
@@ -207,7 +278,7 @@ bool extract_load_set(SampledBatch& batch,
   const std::uint32_t row_bytes = env.row_bytes;
   const bool tracing = trace != nullptr && trace->tracing;
   GD_CHECK_MSG(!env.gds || env.gpu != nullptr, "GDS extraction needs a GPU");
-  // Staging rows in host memory scatter through asynchronous H2D copies
+  // A host staging arena scatters through asynchronous H2D copies
   // when a GPU holds the feature buffer; every other scatter is synchronous.
   const bool async_scatter = env.gpu != nullptr && !env.gds;
 
@@ -215,36 +286,40 @@ bool extract_load_set(SampledBatch& batch,
   const std::uint32_t max_bytes = env.staging_row_bytes;
   const std::uint32_t max_rows = co.enabled ? co.max_rows_per_read : 1;
   const std::uint32_t max_gap = co.enabled ? co.max_gap_bytes : 0;
-  const SegmentPlan plan =
-      plan_segments(load_idx, batch.nodes, lay, row_bytes, max_bytes,
-                    max_rows, max_gap, env.gds ? kPageSize : kSectorSize);
-  const std::size_t n_seg = plan.segments.size();
+  const std::uint32_t align = env.gds ? kPageSize : kSectorSize;
+  // Planned segments come first; re-reads of split segments are appended.
+  SegmentPlan plan = plan_segments(load_idx, batch.nodes, lay, row_bytes,
+                                   max_bytes, max_rows, max_gap, align);
+  const std::size_t n_planned = plan.segments.size();
 
-  // Staging rows recycle through this tracker; H2D scatter callbacks touch
-  // it from the DMA thread, so every field mutation happens under `m` and
-  // notifications stay under the lock (the waiter owns this stack frame and
-  // may destroy it the moment its predicate holds).
+  // Each segment holds its own bytes of the ring's arena from submission
+  // until its rows have left them; H2D scatter callbacks release from the
+  // DMA thread.
+  StagingArena arena(
+      staging_arena_bytes(env.staging_rows, env.staging_row_bytes),
+      env.staging_rows, align);
+  // Async H2D transfers report through this tracker from the DMA thread, so
+  // every field mutation happens under `m` and notifications stay under the
+  // lock (the waiter owns this stack frame and may destroy it the moment its
+  // predicate holds).
   struct TransferTracker {
     std::mutex m;
     std::condition_variable cv;
-    std::vector<unsigned> free_rows;
     std::vector<std::uint32_t> rows_left;  ///< pending scatters per segment
     std::size_t transfers_done = 0;
   } tracker;
-  for (unsigned r = 0; r < env.staging_rows; ++r) {
-    tracker.free_rows.push_back(r);
-  }
-  tracker.rows_left.resize(n_seg, 0);
+  tracker.rows_left.resize(n_planned, 0);
 
-  std::vector<unsigned> row_of(n_seg, 0);
-  std::vector<std::uint32_t> attempts(n_seg, 0);
+  std::vector<std::uint64_t> staging_of(n_planned, 0);  ///< arena offsets
+  std::vector<std::uint32_t> attempts(n_planned, 0);
   struct RetryEntry {
     TimePoint due;
     std::size_t s;
   };
   std::vector<RetryEntry> retries;  // segments sitting out a backoff delay
 
-  std::size_t submitted = 0;
+  std::size_t submitted = 0;            // planned segments handed out
+  std::size_t next_reread = n_planned;  // first re-read not yet handed out
   std::size_t resolved = 0;  // segments that reached a terminal state
   std::size_t inflight = 0;
   std::size_t transfers_started = 0;  // row H2D copies handed to the GPU
@@ -257,46 +332,59 @@ bool extract_load_set(SampledBatch& batch,
   const auto submit_segment = [&](std::size_t s) {
     const TimePoint t = tracing ? Clock::now() : TimePoint{};
     const SegmentPlan::Segment& seg = plan.segments[s];
-    GD_CHECK(seg.len <= env.staging_row_bytes);
-    std::uint8_t* dst =
-        env.staging_base +
-        static_cast<std::uint64_t>(row_of[s]) * env.staging_row_bytes;
-    env.ring->prep_read(seg.base, seg.len, dst, s);
+    env.ring->prep_read(seg.base, seg.len, env.staging_base + staging_of[s],
+                        s);
     env.ring->submit();
     ++inflight;
     if (tracing) trace->submit_ns += elapsed_ns(t, Clock::now());
   };
-  const auto free_row = [&](unsigned row) {
-    {
-      std::lock_guard lk(tracker.m);
-      tracker.free_rows.push_back(row);
+  const auto free_staging = [&](std::size_t s) {
+    arena.release(staging_of[s], plan.segments[s].len);
+    if (hooks.staging_in_use != nullptr) {
+      hooks.staging_in_use->sub(plan.segments[s].len);
     }
-    if (hooks.staging_in_use != nullptr) hooks.staging_in_use->sub(1);
-    tracker.cv.notify_all();
   };
-  const auto fail_segment = [&](std::size_t s) {
-    const SegmentPlan::Segment& seg = plan.segments[s];
+  // A multi-row segment that fails for good may carry good rows merged
+  // with the bad bytes (neighbours, or rows joined across a gap). Each of
+  // its rows is read once more on its own, without retries, so only rows
+  // whose own read fails are marked failed and batches waiting on the
+  // others do not fail with them. The rows keep their slots; the segment's
+  // bytes go back.
+  const auto split_segment = [&](std::size_t s) {
+    const SegmentPlan::Segment seg = plan.segments[s];  // appends move it
     for (std::uint32_t r = seg.first_row; r < seg.first_row + seg.num_rows;
          ++r) {
-      fb.mark_failed(batch.nodes[load_idx[plan.rows[r].load_pos]]);
+      const std::uint64_t off = seg.base + plan.rows[r].seg_offset;
+      SegmentPlan::Segment one;
+      one.base = round_down(off, align);
+      one.len = static_cast<std::uint32_t>(
+          round_up(off + row_bytes, align) - one.base);
+      one.first_row = static_cast<std::uint32_t>(plan.rows.size());
+      one.num_rows = 1;
+      const SegmentPlan::Row row{plan.rows[r].load_pos,
+                                 static_cast<std::uint32_t>(off - one.base)};
+      plan.rows.push_back(row);
+      plan.segments.push_back(one);
     }
+    staging_of.resize(plan.segments.size(), 0);
+    attempts.resize(plan.segments.size(), 0);
+    {
+      std::lock_guard lk(tracker.m);  // H2D callbacks index rows_left
+      tracker.rows_left.resize(plan.segments.size(), 0);
+    }
+    free_staging(s);
     ++resolved;
   };
-  // First unrecoverable failure: resolve everything that is not in flight.
-  // Unsubmitted segments hold references but no slots; backoff-pending
-  // retries also hand their staging rows back.
-  const auto fail_pending = [&] {
-    for (std::size_t s = submitted; s < n_seg; ++s) fail_segment(s);
-    submitted = n_seg;
-    for (const RetryEntry& r : retries) {
-      fail_segment(r.s);
-      free_row(row_of[r.s]);
-    }
-    retries.clear();
+  // The next segment waiting for staging bytes: re-reads first, then the
+  // plan in order; nullopt when none waits.
+  const auto next_to_submit = [&]() -> std::optional<std::size_t> {
+    if (next_reread < plan.segments.size()) return next_reread;
+    if (submitted < n_planned) return submitted;
+    return std::nullopt;
   };
 
-  while (resolved < n_seg) {
-    // Resubmit retries whose backoff elapsed (they keep their rows).
+  while (resolved < plan.segments.size()) {
+    // Resubmit retries whose backoff elapsed (they keep their bytes).
     if (!retries.empty()) {
       const TimePoint now = Clock::now();
       for (std::size_t k = 0; k < retries.size();) {
@@ -309,19 +397,23 @@ bool extract_load_set(SampledBatch& batch,
         }
       }
     }
-    // Top up submissions while staging rows are free.
-    while (!failed && submitted < n_seg) {
-      unsigned row;
-      {
-        std::lock_guard lk(tracker.m);
-        if (tracker.free_rows.empty()) break;
-        row = tracker.free_rows.back();
-        tracker.free_rows.pop_back();
-      }
-      if (hooks.staging_in_use != nullptr) hooks.staging_in_use->add(1);
-      const std::size_t s = submitted++;
-      row_of[s] = row;
+    // Top up submissions while the arena has bytes and slots for the next
+    // segment.
+    for (auto next = next_to_submit(); next.has_value();
+         next = next_to_submit()) {
+      const std::size_t s = *next;
       const SegmentPlan::Segment& seg = plan.segments[s];
+      GD_CHECK(seg.len <= env.staging_row_bytes && seg.len <= arena.capacity());
+      const auto offset = arena.allocate(seg.len);
+      if (!offset.has_value()) break;
+      if (hooks.staging_in_use != nullptr) hooks.staging_in_use->add(seg.len);
+      staging_of[s] = *offset;
+      if (s >= n_planned) {  // a re-read: its row already holds a slot
+        ++next_reread;
+        submit_segment(s);
+        continue;
+      }
+      ++submitted;
       // One buffer-lock take allocates every slot of the segment; may block
       // on the standby list exactly like per-node allocate_slot did.
       seg_nodes.clear();
@@ -344,34 +436,32 @@ bool extract_load_set(SampledBatch& batch,
       }
       submit_segment(s);
     }
-    if (failed && submitted < n_seg) {
-      fail_pending();
-      continue;
-    }
     if (inflight == 0) {
-      if (resolved == n_seg) break;
+      if (resolved == plan.segments.size()) break;
+      const auto next = next_to_submit();
       if (!retries.empty()) {
         // Only backed-off segments remain runnable from here; wait until
-        // the earliest is due OR a transfer frees a staging row that lets
-        // blocked submissions proceed (sleeping blind on the due time used
-        // to ignore those completions).
+        // the earliest is due OR a transfer frees the staging bytes that
+        // let blocked submissions proceed (sleeping blind on the due time
+        // used to ignore those completions).
         TimePoint earliest = retries[0].due;
         for (const RetryEntry& r : retries) {
           earliest = std::min(earliest, r.due);
         }
         const TimePoint tw = tracing ? Clock::now() : TimePoint{};
-        std::unique_lock lk(tracker.m);
-        tracker.cv.wait_until(lk, earliest, [&] {
-          return submitted < n_seg && !tracker.free_rows.empty();
-        });
+        if (next.has_value()) {
+          arena.wait_fit_until(plan.segments[*next].len, earliest);
+        } else {
+          std::this_thread::sleep_until(earliest);
+        }
         if (tracing) trace->copy_wait_ns += elapsed_ns(tw, Clock::now());
         continue;
       }
-      // Nothing in flight to reap; wait for a transfer to free a row.
+      // Nothing in flight to reap: the next segment waits for transfers to
+      // free staging bytes.
       ScopedTrace st(env.telemetry, TraceCat::kIoWait);
       const TimePoint tw = tracing ? Clock::now() : TimePoint{};
-      std::unique_lock lk(tracker.m);
-      tracker.cv.wait(lk, [&] { return !tracker.free_rows.empty(); });
+      arena.wait_fit_until(plan.segments[*next].len, TimePoint::max());
       if (tracing) trace->copy_wait_ns += elapsed_ns(tw, Clock::now());
       continue;
     }
@@ -392,7 +482,7 @@ bool extract_load_set(SampledBatch& batch,
     if (cqe_opt->res < 0) {
       ++counters.io_errors;
       if (cqe_opt->res == -ETIMEDOUT) ++counters.io_timeouts;
-      if (!failed && transient_error(cqe_opt->res) &&
+      if (s < n_planned && transient_error(cqe_opt->res) &&
           attempts[s] < policy.max_retries) {
         ++attempts[s];
         ++counters.io_retries;
@@ -400,44 +490,44 @@ bool extract_load_set(SampledBatch& batch,
         const Duration delay =
             policy.backoff ? policy.backoff(attempts[s]) : Duration::zero();
         if (delay <= Duration::zero()) {
-          submit_segment(s);  // keeps its staging row
+          submit_segment(s);  // keeps its staging bytes
         } else {
           retries.push_back({Clock::now() + delay, s});
         }
         continue;
       }
+      if (seg.num_rows > 1) {
+        split_segment(s);
+        continue;
+      }
+      // One row failed for good: it alone is marked failed (waking its
+      // waiters) and the batch fails, while the rest of the batch still
+      // loads, since other batches may be waiting on those rows.
+      const NodeId node =
+          batch.nodes[load_idx[plan.rows[seg.first_row].load_pos]];
       if (!failed) {
-        const NodeId first =
-            batch.nodes[load_idx[plan.rows[seg.first_row].load_pos]];
         if (policy.log_epoch) {
           log_structured(LogLevel::kWarn, policy.fail_event,
                          {kv("batch", policy.batch_id),
-                          kv("epoch", policy.epoch), kv("node", first),
-                          kv("seg_rows", seg.num_rows),
+                          kv("epoch", policy.epoch), kv("node", node),
                           kv("res", cqe_opt->res),
                           kv("attempts", attempts[s])});
         } else {
           log_structured(LogLevel::kWarn, policy.fail_event,
-                         {kv("batch", policy.batch_id), kv("node", first),
-                          kv("seg_rows", seg.num_rows),
+                         {kv("batch", policy.batch_id), kv("node", node),
                           kv("res", cqe_opt->res),
                           kv("attempts", attempts[s])});
         }
       }
-      fail_segment(s);
-      free_row(row_of[s]);
-      if (!failed) {
-        failed = true;
-        fail_pending();
-      }
+      fb.mark_failed(node);
+      free_staging(s);
+      ++resolved;
+      failed = true;
       continue;
     }
     if (attempts[s] > 0) ++counters.io_recovered;
     ++resolved;
-    const unsigned row = row_of[s];
-    std::uint8_t* const row_base =
-        env.staging_base +
-        static_cast<std::uint64_t>(row) * env.staging_row_bytes;
+    const std::uint8_t* const seg_base = env.staging_base + staging_of[s];
     if (async_scatter) {
       {
         std::lock_guard lk(tracker.m);
@@ -448,20 +538,21 @@ bool extract_load_set(SampledBatch& batch,
            r < seg.first_row + seg.num_rows; ++r) {
         const NodeId node = batch.nodes[load_idx[plan.rows[r].load_pos]];
         const SlotId slot = batch.alias[load_idx[plan.rows[r].load_pos]];
-        const std::uint8_t* src = row_base + plan.rows[r].seg_offset;
+        const std::uint8_t* src = seg_base + plan.rows[r].seg_offset;
         env.gpu->memcpy_h2d_async(
             fb.slot_data(slot), src, row_bytes,
-            [&fb, &tracker, node, row, s,
-             g_staging = hooks.staging_in_use] {
+            [&fb, &tracker, &arena, node, s, offset = staging_of[s],
+             len = seg.len, g_staging = hooks.staging_in_use] {
               fb.mark_valid(node);
               std::lock_guard lk(tracker.m);
-              ++tracker.transfers_done;
-              // The staging row recycles only after every row of its
-              // segment has left it.
+              // The staging bytes recycle only after every row of their
+              // segment has left them; released before transfers_done
+              // moves, so the arena outlives this touch.
               if (--tracker.rows_left[s] == 0) {
-                tracker.free_rows.push_back(row);
-                if (g_staging != nullptr) g_staging->sub(1);
+                arena.release(offset, len);
+                if (g_staging != nullptr) g_staging->sub(len);
               }
+              ++tracker.transfers_done;
               tracker.cv.notify_all();
             });
       }
@@ -469,12 +560,12 @@ bool extract_load_set(SampledBatch& batch,
       // CPU training/serving keeps the feature buffer in host memory: a
       // plain copy per row. Under GDS the segment already sits in device
       // memory: one on-device copy kernel places all of its rows. Either
-      // way the staging row recycles at once.
+      // way the staging bytes recycle at once.
       const auto scatter = [&] {
         for (std::uint32_t r = seg.first_row;
              r < seg.first_row + seg.num_rows; ++r) {
           const SlotId slot = batch.alias[load_idx[plan.rows[r].load_pos]];
-          std::memcpy(fb.slot_data(slot), row_base + plan.rows[r].seg_offset,
+          std::memcpy(fb.slot_data(slot), seg_base + plan.rows[r].seg_offset,
                       row_bytes);
         }
       };
@@ -487,9 +578,7 @@ bool extract_load_set(SampledBatch& batch,
            r < seg.first_row + seg.num_rows; ++r) {
         fb.mark_valid(batch.nodes[load_idx[plan.rows[r].load_pos]]);
       }
-      std::lock_guard lk(tracker.m);
-      tracker.free_rows.push_back(row);
-      if (hooks.staging_in_use != nullptr) hooks.staging_in_use->sub(1);
+      free_staging(s);
     }
   }
 

@@ -10,23 +10,27 @@
 //
 //   1. sort the to-load set by on-disk feature offset (sorted runs),
 //   2. greedily merge adjacent/overlapping sector-aligned covering ranges
-//      into multi-row *segments*, bounded by `max_coalesce_bytes` (a segment
-//      must fit one staging row) and `max_rows_per_read`, optionally jumping
-//      small gaps (`max_gap_bytes` — reading a few wasted sectors is far
-//      cheaper than a second request under the base-latency cost model),
-//   3. issue one read per segment and, on completion, scatter each contained
-//      row into its feature-buffer slot (one H2D per row on GPU, memcpy on
-//      CPU, one on-device copy per segment under GPUDirect Storage).
+//      into multi-row *segments*, bounded by `max_coalesce_bytes` and
+//      `max_rows_per_read`, optionally jumping small gaps (`max_gap_bytes`
+//      — reading a few wasted sectors is far cheaper than a second request
+//      under the base-latency cost model),
+//   3. carve each segment's exact bytes from the ring's staging arena
+//      (StagingArena), issue one read per segment and, on completion,
+//      scatter each contained row into its feature-buffer slot (one H2D per
+//      row on GPU, memcpy on CPU, one on-device copy per segment under
+//      GPUDirect Storage).
 //
-// Per-segment failure granularity preserves the fault-tolerance contract:
-// a transient error retries the whole segment (keeping its staging row); an
-// unrecoverable one marks every node of the segment failed and fails the
-// batch exactly like the per-node path did. `coalesce.enabled = false`
-// degenerates to one single-row segment per node — the planner and loop are
-// the same code, so the A/B toggle compares pure I/O shapes.
+// Failure granularity stays the row, as in the per-node path: a transient
+// error retries the whole segment (keeping its staging bytes); a multi-row
+// segment that fails for good re-reads each of its rows once on its own,
+// and only a row whose own read fails is marked failed and fails the batch.
+// The rest of the batch still loads: other batches may wait on those rows.
+// `coalesce.enabled = false` degenerates to one single-row segment per node
+// — the planner and loop are the same code, so the A/B toggle compares pure
+// I/O shapes.
 //
 // GPUDirect Storage (Sect. 4.4, `ExtractEnv::gds`) runs the same loop with
-// device-resident staging rows: segments are planned at 4 KiB alignment
+// a device-resident staging arena: segments are planned at 4 KiB alignment
 // (the GDS access granularity) and land straight in device memory.
 //
 // Entry points:
@@ -36,8 +40,12 @@
 //   * resolve_wait_list() — Algorithm 1 line 38, fault-tolerant.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <map>
+#include <mutex>
+#include <optional>
 #include <vector>
 
 #include "aio/io_ring.hpp"
@@ -58,8 +66,9 @@ struct CoalesceConfig {
   /// Master toggle (the A/B flag): off falls back to one read per node
   /// through the same planner/loop with caps of one row.
   bool enabled = true;
-  /// Upper bound on one merged read; also the staging-row slot size, so a
-  /// segment always fits its row. Rounded up to the sector size.
+  /// Upper bound on one merged read; also the ring's max transfer and the
+  /// least a staging arena holds, so any segment fits. Rounded up to the
+  /// sector size.
   std::uint32_t max_coalesce_bytes = 24 * 1024;
   /// Upper bound on feature rows per merged read.
   std::uint32_t max_rows_per_read = 64;
@@ -115,18 +124,55 @@ SegmentPlan plan_segments(const std::vector<std::uint32_t>& load_idx,
                           std::uint32_t max_gap_bytes,
                           std::uint32_t align = kSectorSize);
 
+/// Byte allocator over one ring's staging area. Each in-flight segment
+/// holds its own bytes, rounded up to `align` (offsets stay aligned), and at
+/// most `max_blocks` are out at once. First fit from the lowest offset;
+/// a release merges with its free neighbours, so once everything is back
+/// the arena is one free block again. Thread-safe: the extractor
+/// allocates, and H2D completion callbacks release from the DMA thread.
+class StagingArena : NonCopyable {
+ public:
+  StagingArena(std::uint64_t bytes, std::uint32_t max_blocks,
+               std::uint32_t align);
+
+  /// Offset of `len` free bytes, or nullopt when `max_blocks` are out or no
+  /// free block is large enough.
+  std::optional<std::uint64_t> allocate(std::uint32_t len);
+  /// Returns bytes that allocate(len) handed out at `offset`.
+  void release(std::uint64_t offset, std::uint32_t len);
+  /// Blocks until allocate(len) would succeed (release wakes it) or until
+  /// `deadline` (TimePoint::max(): none); true when it would succeed.
+  bool wait_fit_until(std::uint32_t len, TimePoint deadline);
+
+  std::uint64_t capacity() const { return capacity_; }
+  std::size_t free_blocks() const;  ///< 1 when nothing is held
+
+ private:
+  bool fits_locked(std::uint64_t need) const;
+
+  const std::uint32_t align_;
+  const std::uint64_t capacity_;
+  const std::uint32_t max_blocks_;
+  mutable std::mutex mu_;
+  std::condition_variable freed_;
+  std::map<std::uint64_t, std::uint64_t> free_;  ///< offset -> length
+  std::uint32_t blocks_ = 0;
+};
+
 /// The substrate one extraction runs against. All pointers are borrowed.
 struct ExtractEnv {
   FeatureBuffer* fb = nullptr;
   const OnDiskLayout* layout = nullptr;
   std::uint32_t row_bytes = 0;          ///< exact feature row bytes
   IoRing* ring = nullptr;
-  std::uint8_t* staging_base = nullptr; ///< staging_rows x staging_row_bytes
-  std::uint32_t staging_row_bytes = 0;  ///< per-row slot size (>= any segment)
-  std::uint32_t staging_rows = 0;       ///< number of recycled row slots
+  /// The ring's staging arena, staging_arena_bytes(staging_rows,
+  /// staging_row_bytes) long.
+  std::uint8_t* staging_base = nullptr;
+  std::uint32_t staging_row_bytes = 0;  ///< largest segment (planning cap)
+  std::uint32_t staging_rows = 0;       ///< cap on segments in flight
   GpuDevice* gpu = nullptr;             ///< null: host memcpy scatter
   Telemetry* telemetry = nullptr;       ///< optional (I/O-wait traces)
-  /// GPUDirect Storage: the staging rows are device memory, segments are
+  /// GPUDirect Storage: the staging arena is device memory, segments are
   /// planned at kPageSize alignment, and each completed segment scatters
   /// with one on-device copy (GpuDevice::launch). Requires `gpu`.
   bool gds = false;
@@ -154,7 +200,7 @@ struct ExtractMetricHooks {
   Counter* segments = nullptr;              ///< io.coalesce.segments
   Counter* rows = nullptr;                  ///< io.coalesce.rows
   ConcurrentHistogram* rows_per_read = nullptr;  ///< io.coalesce.rows_per_read
-  Gauge* staging_in_use = nullptr;          ///< io.staging_in_use (rows held)
+  Gauge* staging_in_use = nullptr;          ///< io.staging_in_use (bytes held)
   Counter* retries = nullptr;               ///< fault.io_retries
 };
 
@@ -193,11 +239,13 @@ void triage_batch(FeatureBuffer& fb, SampledBatch& batch,
                   FbClient client = FbClient::kTrain);
 
 /// Algorithm 1 pass 2 over `load_idx`: plan segments, allocate slots
-/// (batched, one lock take per segment), submit asynchronous reads, scatter
-/// completed rows into the feature buffer, retry transient failures per
-/// segment, and drain all transfers before returning. Returns false when
-/// the batch failed permanently — every node of `load_idx` is then resolved
-/// (valid or failed) and the caller still owns releasing all references.
+/// (batched, one lock take per segment) and staging bytes, submit
+/// asynchronous reads, scatter completed rows into the feature buffer,
+/// retry transient failures per segment, re-read the rows of a segment that
+/// failed for good one by one, and drain all transfers before
+/// returning. Returns false when the batch failed permanently — every node
+/// of `load_idx` is then resolved (valid or failed) and the caller still
+/// owns releasing all references.
 bool extract_load_set(SampledBatch& batch,
                       const std::vector<std::uint32_t>& load_idx,
                       const ExtractEnv& env, const ExtractPolicy& policy,
@@ -210,17 +258,24 @@ bool resolve_wait_list(FeatureBuffer& fb, SampledBatch& batch,
                        const std::vector<std::uint32_t>& wait_idx,
                        Duration timeout);
 
-/// Effective per-staging-row byte size for a configuration: the covering
-/// row when coalescing is off, max_coalesce_bytes (sector-rounded, at least
-/// one covering row) when on.
+/// Largest segment a configuration plans (the staging arena's allocation
+/// ceiling and the ring's max transfer): the covering row when coalescing
+/// is off, max_coalesce_bytes (sector-rounded, at least one covering row)
+/// when on.
 std::uint32_t staging_row_bytes_for(const CoalesceConfig& coalesce,
                                     std::uint32_t covering_row_bytes);
 
-/// Effective staging row count: coalesced mode needs far fewer in-flight
-/// reads to saturate the device channels than the per-node path, so the
-/// row pool shrinks (bounding host pinning) while `ring_depth` keeps its
-/// meaning for the per-node path and the ring's SQE capacity.
+/// Cap on segments in flight per ring: `ring_depth` (at least 1), whether
+/// or not reads coalesce — each segment takes only its own arena bytes, so
+/// a wide segment costs bytes, not in-flight depth.
 std::uint32_t staging_rows_for(const CoalesceConfig& coalesce,
                                std::uint32_t ring_depth);
+
+/// Bytes of one ring's staging arena: a page per ring slot (planned reads
+/// average a few KiB, far below the largest segment), never less than one
+/// largest segment, so any plan makes progress, and never more than
+/// `ring_depth` of them, which is all that can be in flight.
+std::uint64_t staging_arena_bytes(std::uint32_t ring_depth,
+                                  std::uint32_t max_segment_bytes);
 
 }  // namespace gnndrive

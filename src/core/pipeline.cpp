@@ -42,7 +42,7 @@ std::uint32_t epoch_of(std::uint64_t batch_id) {
 
 struct GnnDrive::ExtractorState {
   std::unique_ptr<IoRing> ring;
-  std::uint8_t* staging_base = nullptr;  ///< staging_rows_ segment-wide rows
+  std::uint8_t* staging_base = nullptr;  ///< this ring's staging arena
   Rng backoff_rng{0};                    ///< jitter source, seeded per worker
   ExtractMetricHooks hooks;              ///< null without telemetry
   ExtractCounters counters;              ///< this epoch's extraction totals
@@ -82,23 +82,12 @@ GnnDrive::GnnDrive(const RunContext& ctx, GnnDriveConfig config)
   // GDS reads at its 4 KiB access granularity, the staging path at sectors.
   const std::uint32_t covering = covering_row_bytes(
       row_bytes, config_.gds_mode ? kPageSize : kSectorSize);
-  // Coalesced extraction: staging rows widen to hold a whole merged segment
-  // and the per-extractor row pool shrinks accordingly (core/extract.hpp).
-  staging_row_bytes_ = staging_row_bytes_for(config_.coalesce, covering);
-  staging_rows_ = staging_rows_for(config_.coalesce, config_.ring_depth);
-  if (config_.gds_mode) {
-    // Device memory is the scarcer budget: GDS staging keeps the device
-    // bytes of one bounce block per ring slot (the row rounded up to 4 KiB,
-    // plus a page for a row straddling two), and wider coalesced rows share
-    // them, at least one row.
-    const std::uint64_t device_budget =
-        std::uint64_t{config_.ring_depth} *
-        (round_up(row_bytes, kPageSize) + kPageSize);
-    staging_rows_ = static_cast<std::uint32_t>(std::clamp<std::uint64_t>(
-        device_budget / staging_row_bytes_, 1, staging_rows_));
-  }
-  const std::uint64_t staging_per_extractor =
-      std::uint64_t{staging_rows_} * staging_row_bytes_;
+  // Each extractor's reads carve their exact bytes from a staging arena of
+  // about a page per ring slot, whatever the largest segment coalescing
+  // may plan (core/extract.hpp); GDS keeps the arena in device memory.
+  max_segment_bytes_ = staging_row_bytes_for(config_.coalesce, covering);
+  inflight_cap_ = staging_rows_for(config_.coalesce, config_.ring_depth);
+  arena_bytes_ = staging_arena_bytes(inflight_cap_, max_segment_bytes_);
 
   // Model (input/output dims come from the dataset).
   ModelConfig mc = config_.common.model;
@@ -125,7 +114,7 @@ GnnDrive::GnnDrive(const RunContext& ctx, GnnDriveConfig config)
     if (config_.cpu_training) return ~std::uint64_t{0};
     const std::uint64_t used =
         model_->param_state_bytes() + act_headroom +
-        (config_.gds_mode ? extractors * staging_per_extractor : 0);
+        (config_.gds_mode ? extractors * arena_bytes_ : 0);
     return config_.gpu.device_memory_bytes -
            std::min(config_.gpu.device_memory_bytes, used);
   };
@@ -138,7 +127,7 @@ GnnDrive::GnnDrive(const RunContext& ctx, GnnDriveConfig config)
           : ~0ull;
   while (num_extractors_ > 1 &&
          ((!config_.gds_mode &&
-           num_extractors_ * staging_per_extractor > staging_budget) ||
+           num_extractors_ * arena_bytes_ > staging_budget) ||
           num_extractors_ * max_batch_nodes_ * row_bytes >
               std::min(device_for_slots(num_extractors_), host_for_slots))) {
     --num_extractors_;
@@ -149,12 +138,12 @@ GnnDrive::GnnDrive(const RunContext& ctx, GnnDriveConfig config)
     model_state_alloc_ =
         DeviceAlloc(*gpu_, model_->param_state_bytes(), "model+adam");
   }
-  // Staging rows are recycled as transfers retire, so the area is bounded
-  // by the number of extractors times the I/O depth — "the number of
+  // Staging bytes are recycled as transfers retire, so the area is bounded
+  // by the number of extractors times the bytes in flight — "the number of
   // features to be loaded to GPU for each extractor" (Sect. 4.2) — not by
   // the whole mini-batch. This is what keeps GNNDrive's host footprint
   // tiny even at an "8 GB" budget (Fig. 9). GDS moves it to the device.
-  const std::uint64_t staging_bytes = num_extractors_ * staging_per_extractor;
+  const std::uint64_t staging_bytes = num_extractors_ * arena_bytes_;
   if (config_.gds_mode) {
     staging_alloc_ = DeviceAlloc(*gpu_, staging_bytes, "gds-staging");
   } else {
@@ -315,8 +304,8 @@ bool GnnDrive::extract_batch(SampledBatch& batch, ExtractorState& state) {
   env.row_bytes = row_bytes;
   env.ring = state.ring.get();
   env.staging_base = state.staging_base;
-  env.staging_row_bytes = staging_row_bytes_;
-  env.staging_rows = staging_rows_;
+  env.staging_row_bytes = max_segment_bytes_;
+  env.staging_rows = inflight_cap_;
   env.gpu = gpu_.get();
   env.telemetry = ctx_.telemetry;
   env.gds = config_.gds_mode;
@@ -637,16 +626,14 @@ EpochStats GnnDrive::run_epoch(std::uint64_t epoch) {
           // Direct I/O bypasses the OS page cache (Sect. 4.2); buffered
           // mode exists as an ablation (see GnnDriveConfig::direct_io).
           rc.direct = config_.direct_io;
-          // A request longer than a staging slot would overrun it; the
-          // ring rejects such a planner bug with -EINVAL.
-          rc.max_transfer_bytes = staging_row_bytes_;
+          // A request longer than any planned segment would overrun its
+          // staging bytes; the ring rejects such a planner bug with -EINVAL.
+          rc.max_transfer_bytes = max_segment_bytes_;
           state.ring = std::make_unique<IoRing>(
               *ctx_.ssd, rc, config_.direct_io ? nullptr : ctx_.page_cache,
               ctx_.telemetry);
           state.hooks = extract_metric_hooks(tel);
-          state.staging_base =
-              staging_.data() + static_cast<std::uint64_t>(e) *
-                                    staging_rows_ * staging_row_bytes_;
+          state.staging_base = staging_.data() + e * arena_bytes_;
           for (;;) {
             const TimePoint qb = tracing ? Clock::now() : TimePoint{};
             auto batch = extract_q.pop();

@@ -19,15 +19,16 @@
 // paper); they carry only node ids/aliases, never feature data. Mini-batch
 // reordering arises naturally from the thread pools.
 //
-// Buffer sizing follows Sect. 4.2: the staging buffer holds Ne x ring_depth
-// covering rows of host memory, recycled as transfers retire (bounded by
+// Buffer sizing follows Sect. 4.2: the staging buffer is Ne byte arenas of
+// about ring_depth pages each (staging_arena_bytes), from which in-flight
+// reads carve their exact bytes, recycled as transfers retire (bounded by
 // "the number of extractors and the number of features to be loaded to GPU
 // for each extractor"; Ne additionally auto-shrinks to respect the budgets
 // — the paper's "expanded or shrunk by adjusting the number of
 // extractors"). The feature buffer reserves at least Ne x Mb device slots
 // (deadlock freedom) and is capped by the device memory left after the
 // model, the per-batch activations and — under GDS, where the staging
-// buffer lives on the device — the staging rows (the paper's
+// buffer lives on the device — the staging arenas (the paper's
 // training-queue-depth restriction).
 #pragma once
 
@@ -95,8 +96,8 @@ struct GnnDriveConfig {
   /// eliminating the host staging buffer entirely. Constraints modeled as
   /// the paper describes them: 4 KiB access granularity (redundant loading
   /// of neighbouring rows is inevitable) and a device-resident staging
-  /// area of at most ring_depth x (row rounded up to 4 KiB + 4 KiB) bytes
-  /// per extractor, charged to device memory before the feature buffer is
+  /// arena per extractor (about ring_depth x 4 KiB, at least one largest
+  /// segment), charged to device memory before the feature buffer is
   /// sized. GPU training only.
   bool gds_mode = false;
   /// CPU-training kernel-time floor (FLOP/s), analogous to
@@ -107,7 +108,7 @@ struct GnnDriveConfig {
   double cpu_flops_per_s = 0.0;
   /// Feature-buffer size multiplier relative to the default sizing (Fig. 12).
   double feature_buffer_scale = 1.0;
-  /// Fraction of currently-free host memory the staging buffer may pin.
+  /// Fraction of currently-free host memory the staging arenas may pin.
   double staging_fraction = 0.5;
   GpuConfig gpu;
   /// Crash-safe checkpoint/restore (src/ckpt, docs/recovery.md). Disabled
@@ -235,8 +236,9 @@ class GnnDrive final : public TrainSystem {
 
   std::uint32_t num_extractors_ = 0;     ///< after auto-shrink
   std::uint64_t max_batch_nodes_ = 0;    ///< Mb
-  std::uint32_t staging_row_bytes_ = 0;  ///< per staging slot (>= a segment)
-  std::uint32_t staging_rows_ = 0;       ///< staging slots per extractor
+  std::uint32_t max_segment_bytes_ = 0;  ///< largest planned segment
+  std::uint32_t inflight_cap_ = 0;       ///< segments in flight per ring
+  std::uint64_t arena_bytes_ = 0;        ///< staging arena per extractor
   std::uint64_t feature_slots_ = 0;
 
   // Hotness policy state (empty/kNone under policy=lru).
@@ -248,8 +250,8 @@ class GnnDrive final : public TrainSystem {
   PinnedBytes metadata_pin_;
   PinnedBytes staging_pin_;  ///< staging_'s charge, unless under GDS
   PinnedBytes cpu_buffer_pin_;
-  /// Ne x staging_rows_ rows of staging_row_bytes_: pinned host memory, or
-  /// device memory under GDS (charged by staging_alloc_).
+  /// Ne arenas of arena_bytes_: pinned host memory, or device memory under
+  /// GDS (charged by staging_alloc_).
   std::vector<std::uint8_t> staging_;
 
   // Every DeviceAlloc must be declared after gpu_: its destructor frees

@@ -236,7 +236,7 @@ AttributionReport BottleneckAttributor::attribute(
                 static_cast<unsigned long long>(slot_waits));
   fb.evidence = ev;
 
-  // -- staging pool: rows in flight vs the pool's high watermark ------------
+  // -- staging arenas: bytes in flight vs their high watermark --------------
   ResourceScore staging;
   staging.resource = "staging";
   const std::int64_t stg_use = end.gauge("io.staging_in_use").value;
@@ -245,7 +245,7 @@ AttributionReport BottleneckAttributor::attribute(
       stg_hw > 0 ? clamp01(static_cast<double>(stg_use) /
                            static_cast<double>(stg_hw))
                  : 0.0;
-  std::snprintf(ev, sizeof(ev), "%lld/%lld rows in use",
+  std::snprintf(ev, sizeof(ev), "%lld/%lld bytes in use",
                 static_cast<long long>(stg_use),
                 static_cast<long long>(stg_hw));
   staging.evidence = ev;

@@ -15,7 +15,7 @@
 //   trainer    Δstage.train.us busy fraction (one trainer thread)
 //   extract_q / train_q   depth vs capacity + producer-blocked deltas
 //   fb.cold    cold-slot occupancy, gated on actual slot waits
-//   staging    staging-row pool occupancy vs its high watermark
+//   staging    staging-arena bytes in use vs their high watermark
 //   serve      windowed p99 of serve.latency.us vs the configured SLO
 //
 // — and emits a ranked report naming the binding constraint in human and

@@ -82,7 +82,7 @@ struct ServeEngine::ModelSet {
 struct ServeEngine::WorkerState {
   std::unique_ptr<MmapTopology> topo;
   std::unique_ptr<IoRing> ring;
-  std::uint8_t* staging_base = nullptr;  ///< staging_rows_ segment-wide rows
+  std::uint8_t* staging_base = nullptr;  ///< this worker's staging arena
   /// Replica set pinned for the current micro-batch (drain-and-swap: held
   /// until the batch finishes, so a concurrent publish never frees a model
   /// under an in-flight forward pass).
@@ -124,14 +124,13 @@ ServeEngine::ServeEngine(const RunContext& ctx, const ServeConfig& config,
   const Dataset& ds = *ctx_.dataset;
   const auto row_bytes =
       static_cast<std::uint32_t>(ds.layout().feature_row_bytes);
-  // Coalesced extraction sizing, mirroring the training pipeline: staging
-  // rows widen to hold a merged segment, the per-worker pool shrinks.
-  staging_row_bytes_ = staging_row_bytes_for(
+  // Staging sizing mirrors the training pipeline: each worker's reads carve
+  // their exact bytes from an arena of about a page per ring slot.
+  max_segment_bytes_ = staging_row_bytes_for(
       config_.coalesce, covering_row_bytes(row_bytes, kSectorSize));
-  staging_rows_ = staging_rows_for(config_.coalesce, config_.ring_depth);
-  const std::uint64_t staging_bytes =
-      static_cast<std::uint64_t>(config_.workers) * staging_rows_ *
-      staging_row_bytes_;
+  inflight_cap_ = staging_rows_for(config_.coalesce, config_.ring_depth);
+  arena_bytes_ = staging_arena_bytes(inflight_cap_, max_segment_bytes_);
+  const std::uint64_t staging_bytes = config_.workers * arena_bytes_;
   if (ctx_.host_mem != nullptr) {
     staging_pin_ = PinnedBytes(*ctx_.host_mem, staging_bytes, "serve-staging");
   }
@@ -356,10 +355,11 @@ void ServeEngine::worker_loop(std::uint32_t worker_id) {
   IoRingConfig rc;
   rc.queue_depth = config_.ring_depth;
   rc.direct = true;  // serving always bypasses the page cache, like training
-  rc.max_transfer_bytes = staging_row_bytes_;
+  rc.max_transfer_bytes = max_segment_bytes_;
+  // A request waits on these reads: they start ahead of queued extraction.
+  rc.io_class = IoClass::kLatency;
   ws.ring = std::make_unique<IoRing>(*ctx_.ssd, rc, nullptr, ctx_.telemetry);
-  ws.staging_base = staging_.data() + static_cast<std::uint64_t>(worker_id) *
-                                          staging_rows_ * staging_row_bytes_;
+  ws.staging_base = staging_.data() + worker_id * arena_bytes_;
   ws.hooks = extract_metric_hooks(ctx_.telemetry);
   for (;;) {
     auto batch = coalescer_.collect();
@@ -526,8 +526,8 @@ bool ServeEngine::extract_batch(SampledBatch& batch, WorkerState& ws) {
   env.row_bytes = row_bytes;
   env.ring = ws.ring.get();
   env.staging_base = ws.staging_base;
-  env.staging_row_bytes = staging_row_bytes_;
-  env.staging_rows = staging_rows_;
+  env.staging_row_bytes = max_segment_bytes_;
+  env.staging_rows = inflight_cap_;
   env.gpu = sub_.gpu;
   env.telemetry = ctx_.telemetry;
 

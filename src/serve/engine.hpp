@@ -2,8 +2,9 @@
 //
 // The serving path reuses exactly the machinery the paper builds for
 // training — the refcounted feature buffer (Sect. 4.2), direct asynchronous
-// SSD reads through an io_uring-style ring, and recycled staging rows — but
-// drives it from a latency-oriented front end:
+// SSD reads through an io_uring-style ring, and a recycled staging arena —
+// but drives it from a latency-oriented front end, whose reads go to the
+// device's latency class (they start ahead of queued training extraction):
 //
 //   submit() --> RequestQueue (admission control, deadline stamping)
 //            --> MicroBatchCoalescer (size/time-bounded batching)
@@ -22,12 +23,12 @@
 //     reserve — neither side can deadlock the other. A micro-batch larger
 //     than the whole serve budget fails cleanly instead of wedging.
 //   * Whole-batch failure granularity. An unrecoverable read fails the
-//     micro-batch exactly like a training batch: unresolved loads are
-//     marked failed (waking cross-batch waiters), every reference is
-//     released, and each request's future resolves with kFailed. Training
-//     batches that were waiting on those nodes retry the load from scratch
-//     — an EIO during serving degrades the affected requests, never the
-//     training run.
+//     micro-batch exactly like a training batch: the row it could not
+//     read is marked failed (waking cross-batch waiters), the batch's
+//     other rows still load, every reference is released, and each
+//     request's future resolves with kFailed. Later batches that need the
+//     failed row retry the load from scratch — an EIO during serving
+//     degrades the affected requests, never the training run.
 //
 // Forward passes run on per-worker model replicas (GnnModel's forward
 // caches are not thread-safe) refreshed from the shared parameter source
@@ -150,10 +151,11 @@ class ServeEngine : NonCopyable {
   std::condition_variable pin_cv_;
   std::uint64_t pins_in_use_ = 0;
 
-  std::uint32_t staging_row_bytes_ = 0;  ///< per staging slot (>= a segment)
-  std::uint32_t staging_rows_ = 0;       ///< staging slots per worker
+  std::uint32_t max_segment_bytes_ = 0;  ///< largest planned segment
+  std::uint32_t inflight_cap_ = 0;       ///< segments in flight per ring
+  std::uint64_t arena_bytes_ = 0;        ///< staging arena per worker
   PinnedBytes staging_pin_;
-  std::vector<std::uint8_t> staging_;  ///< workers x staging_rows_ slots
+  std::vector<std::uint8_t> staging_;  ///< workers x arena_bytes_
 
   mutable std::mutex models_mu_;
   std::shared_ptr<const ModelSet> models_;

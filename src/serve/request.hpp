@@ -3,7 +3,7 @@
 //
 // Serving accepts per-node classification requests and drives them through
 // sample -> extract -> infer micro-batches that share the training
-// pipeline's feature buffer, staging rows, io ring and simulated SSD. This
+// pipeline's feature buffer, staging arenas, io ring and simulated SSD. This
 // header holds the types that cross the serving API boundary; the
 // machinery lives in request_queue.hpp / coalescer.hpp / engine.hpp.
 #pragma once

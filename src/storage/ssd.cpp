@@ -126,10 +126,73 @@ FaultInjector::Decision FaultInjector::decide(bool is_read,
   return d;
 }
 
+const char* io_class_name(IoClass io_class) {
+  return io_class == IoClass::kLatency ? "latency" : "throughput";
+}
+
+ChannelArbiter::ChannelArbiter(unsigned channels, TimePoint origin)
+    : channel_free_(channels, origin) {
+  GD_CHECK(channels > 0);
+}
+
+void ChannelArbiter::enqueue(const Request& request) {
+  queues_[static_cast<std::size_t>(request.io_class)].push_back(request);
+}
+
+TimePoint ChannelArbiter::next_free() const {
+  return *std::min_element(channel_free_.begin(), channel_free_.end());
+}
+
+std::optional<ChannelArbiter::Start> ChannelArbiter::dispatch(TimePoint now) {
+  if (idle()) return std::nullopt;
+  auto channel = std::min_element(channel_free_.begin(), channel_free_.end());
+  const TimePoint free_at = *channel;
+  if (free_at > now) return std::nullopt;
+  auto& latency = queues_[static_cast<std::size_t>(IoClass::kLatency)];
+  auto& throughput = queues_[static_cast<std::size_t>(IoClass::kThroughput)];
+  // Waiting when the channel frees: only those requests compete for it.
+  const bool latency_waits =
+      !latency.empty() && latency.front().submit <= free_at;
+  const bool throughput_waits =
+      !throughput.empty() && throughput.front().submit <= free_at;
+  bool pick_latency;
+  if (latency_waits && throughput_waits) {
+    pick_latency = latency_streak_ < kLatencyBurst;
+  } else if (latency_waits || throughput_waits) {
+    pick_latency = latency_waits;
+  } else {
+    // The channel idles until the first arrival, which takes it.
+    pick_latency = throughput.empty() ||
+                   (!latency.empty() &&
+                    latency.front().submit <= throughput.front().submit);
+  }
+  latency_streak_ = pick_latency && throughput_waits ? latency_streak_ + 1 : 0;
+  auto& queue = pick_latency ? latency : throughput;
+  const Request r = queue.front();
+  queue.pop_front();
+  Start s{r.token, r.io_class, r.submit, std::max(r.submit, free_at), {},
+          r.service};
+  s.done = s.start + r.service;
+  *channel = s.done;
+  return s;
+}
+
+bool ChannelArbiter::cancel(std::uint64_t token) {
+  for (auto& queue : queues_) {
+    const auto it =
+        std::find_if(queue.begin(), queue.end(),
+                     [&](const Request& r) { return r.token == token; });
+    if (it != queue.end()) {
+      queue.erase(it);
+      return true;
+    }
+  }
+  return false;
+}
+
 SsdDevice::SsdDevice(SsdConfig config, std::shared_ptr<SsdBackend> backend)
-    : config_(config), backend_(std::move(backend)) {
-  GD_CHECK(config_.channels > 0);
-  channel_free_.assign(config_.channels, Clock::now());
+    : config_(config), backend_(std::move(backend)),
+      arbiter_(config_.channels, Clock::now()) {
   set_telemetry(nullptr);
   device_thread_ = std::thread([this] { device_loop(); });
 }
@@ -194,20 +257,18 @@ SsdFaultConfig SsdDevice::fault_config() const {
 }
 
 std::uint64_t SsdDevice::submit(Op op, std::uint64_t offset, std::uint32_t len,
-                                void* buf, Completion on_complete) {
+                                void* buf, Completion on_complete,
+                                IoClass io_class) {
   GD_CHECK(offset + len <= backend_->size());
-  const TimePoint now = Clock::now();
   Duration service = service_time(op, len);
   std::uint64_t token;
   {
     std::lock_guard lock(mu_);
-    Pending req;
-    req.op = op;
-    req.offset = offset;
-    req.len = len;
-    req.buf = buf;
-    req.on_complete = std::move(on_complete);
-    token = req.token = next_token_++;
+    // Stamped under the lock, so every request stamped at or before a
+    // channel's free time is queued before that channel's dispatch runs.
+    const TimePoint now = Clock::now();
+    token = next_token_++;
+    Pending req{op, offset, len, buf, std::move(on_complete)};
     if (injector_) {
       const auto d = injector_->decide(op == Op::kRead, offset, len);
       req.injected_res = d.res;
@@ -222,70 +283,57 @@ std::uint64_t SsdDevice::submit(Op op, std::uint64_t offset, std::uint32_t len,
             service * d.latency_multiplier);
       }
     }
-    if (req.stuck) {
-      // Never scheduled for completion; occupies no channel (the modeled
-      // firmware lost it). Cancellation is the only way out.
-      req.done_at = stuck_deadline();
-    } else {
-      // Pick the channel that frees up earliest (c-server queue).
-      auto it = std::min_element(channel_free_.begin(), channel_free_.end());
-      const TimePoint start = std::max(now, *it);
-      req.done_at = start + service;
-      *it = req.done_at;
-      stats_.busy_seconds += to_seconds(service);
-    }
     if (op == Op::kRead) {
       ++stats_.reads;
+      ++stats_.by_class[static_cast<std::size_t>(io_class)].reads;
       stats_.bytes_read += len;
     } else {
       ++stats_.writes;
       stats_.bytes_written += len;
     }
-    pending_.push(std::move(req));
+    if (req.stuck) {
+      // Never scheduled for completion; occupies no channel (the modeled
+      // firmware lost it). Cancellation is the only way out.
+      due_.push({stuck_deadline(), token});
+    } else {
+      arbiter_.enqueue({token, now, service, io_class});
+    }
+    live_.emplace(token, std::move(req));
     ++in_flight_;
+    dispatch_locked(now);
     mirror_stats_locked();
   }
   cv_.notify_one();
   return token;
 }
 
+TimePoint SsdDevice::next_event_locked() const {
+  TimePoint next = due_.empty() ? TimePoint::max() : due_.top().at;
+  if (!arbiter_.idle()) next = std::min(next, arbiter_.next_free());
+  return next;
+}
+
+void SsdDevice::dispatch_locked(TimePoint now) {
+  while (const auto s = arbiter_.dispatch(now)) {
+    stats_.busy_seconds += to_seconds(s->service);
+    stats_.by_class[static_cast<std::size_t>(s->io_class)]
+        .queue_wait_seconds += to_seconds(s->start - s->submit);
+    due_.push({s->done, s->token});
+  }
+}
+
 bool SsdDevice::try_cancel(std::uint64_t token) {
   std::lock_guard lock(mu_);
-  if (token == 0 || token >= next_token_) return false;
-  if (cancelled_.count(token) != 0) return false;  // already cancelled
-  // Linear scan is not possible on the heap; instead mark for lazy deletion
-  // and verify the request is still pending by probing the heap contents via
-  // the in-flight bookkeeping: a completed request's token can no longer be
-  // in the heap. We track liveness implicitly — the device loop removes a
-  // request from the heap only at completion (lock held), so "pending" is
-  // exactly "not yet popped". A popped-but-not-yet-completed request cannot
-  // exist while we hold mu_ because the pop and the decision to complete
-  // happen under the same lock acquisition.
-  bool found = false;
-  {
-    // priority_queue has no iteration API; use the underlying container via
-    // a const reference trick. Pending order does not matter for the scan.
-    struct Opener : std::priority_queue<Pending, std::vector<Pending>,
-                                        std::greater<>> {
-      static const std::vector<Pending>& container(
-          const std::priority_queue<Pending, std::vector<Pending>,
-                                    std::greater<>>& q) {
-        return q.*&Opener::c;
-      }
-    };
-    for (const Pending& p : Opener::container(pending_)) {
-      if (p.token == token) {
-        found = true;
-        break;
-      }
-    }
-  }
-  if (!found) return false;
-  cancelled_.insert(token);
+  const auto it = live_.find(token);
+  if (it == live_.end()) return false;  // completed, completing or unknown
+  // A queued request leaves its class queue without taking a channel; a
+  // started one keeps its channel until its modeled completion, and its
+  // Due entry is dropped when it surfaces.
+  arbiter_.cancel(token);
+  live_.erase(it);
   ++stats_.cancelled;
-  mirror_stats_locked();
   --in_flight_;
-  m_.pending->set(static_cast<std::int64_t>(in_flight_));
+  mirror_stats_locked();
   if (in_flight_ == 0) drained_.notify_all();
   cv_.notify_one();
   return true;
@@ -297,13 +345,15 @@ std::int32_t SsdDevice::read_sync(std::uint64_t offset, std::uint32_t len,
   std::condition_variable done_cv;
   bool done = false;
   std::int32_t result = 0;
-  const std::uint64_t token =
-      submit(Op::kRead, offset, len, dst, [&](std::int32_t res) {
+  const std::uint64_t token = submit(
+      Op::kRead, offset, len, dst,
+      [&](std::int32_t res) {
         std::lock_guard lk(m);
         done = true;
         result = res;
         done_cv.notify_one();
-      });
+      },
+      IoClass::kLatency);
   const Duration timeout = sync_timeout(service_time(Op::kRead, len));
   std::unique_lock lk(m);
   if (!done_cv.wait_for(lk, timeout, [&] { return done; })) {
@@ -330,7 +380,8 @@ std::int32_t SsdDevice::write_sync(std::uint64_t offset, std::uint32_t len,
                done = true;
                result = res;
                done_cv.notify_one();
-             });
+             },
+             IoClass::kLatency);
   const Duration timeout = sync_timeout(service_time(Op::kWrite, len));
   std::unique_lock lk(m);
   if (!done_cv.wait_for(lk, timeout, [&] { return done; })) {
@@ -365,6 +416,12 @@ void SsdDevice::set_telemetry(Telemetry* telemetry) {
   m_.injected_spikes = &reg.counter("ssd.injected_spikes");
   m_.injected_stuck = &reg.counter("ssd.injected_stuck");
   m_.cancelled = &reg.counter("ssd.cancelled");
+  for (const IoClass c : {IoClass::kThroughput, IoClass::kLatency}) {
+    const std::string prefix = std::string("ssd.") + io_class_name(c);
+    const auto i = static_cast<std::size_t>(c);
+    m_.class_reads[i] = &reg.counter(prefix + ".reads");
+    m_.class_queue_wait[i] = &reg.counter(prefix + ".queue_wait_us");
+  }
   m_.pending = &reg.gauge("ssd.pending");
   mirror_stats_locked();
 }
@@ -379,56 +436,76 @@ void SsdDevice::mirror_stats_locked() {
   m_.injected_spikes->store(stats_.injected_spikes);
   m_.injected_stuck->store(stats_.injected_stuck);
   m_.cancelled->store(stats_.cancelled);
+  for (std::size_t i = 0; i < kIoClasses; ++i) {
+    m_.class_reads[i]->store(stats_.by_class[i].reads);
+    m_.class_queue_wait[i]->store(static_cast<std::uint64_t>(
+        stats_.by_class[i].queue_wait_seconds * 1e6));
+  }
   m_.pending->set(static_cast<std::int64_t>(in_flight_));
 }
 
 void SsdDevice::device_loop() {
+  std::vector<Pending> done;  // completions taken in one pass
   std::unique_lock lock(mu_);
   for (;;) {
-    // Discard cancelled requests eagerly so they neither delay the heap top
-    // nor keep the loop alive at shutdown.
-    while (!pending_.empty() &&
-           cancelled_.count(pending_.top().token) != 0) {
-      cancelled_.erase(pending_.top().token);
-      pending_.pop();
+    const TimePoint now = Clock::now();
+    // Channels that freed since the last pass take their next requests
+    // first; the stats mirror precedes the completions it orders.
+    if (!arbiter_.idle() && arbiter_.next_free() <= now) {
+      dispatch_locked(now);
+      mirror_stats_locked();
     }
-    if (pending_.empty()) {
-      if (stop_) return;
-      cv_.wait(lock, [&] { return stop_ || !pending_.empty(); });
+    // Take every request due by now; a Due entry whose request is gone was
+    // cancelled.
+    while (!due_.empty() && due_.top().at <= now) {
+      const auto it = live_.find(due_.top().token);
+      due_.pop();
+      if (it == live_.end()) continue;
+      done.push_back(std::move(it->second));
+      live_.erase(it);
+    }
+    if (done.empty()) {
+      // Discard cancelled requests eagerly so they neither delay the wake
+      // time nor keep the loop alive at shutdown.
+      while (!due_.empty() && live_.count(due_.top().token) == 0) due_.pop();
+      if (due_.empty() && arbiter_.idle()) {
+        if (stop_) return;
+        cv_.wait(lock);
+      } else if (stop_ && !due_.empty() && live_.at(due_.top().token).stuck) {
+        // Shutdown with an uncancelled stuck request: abandon it (its
+        // completion never runs) instead of blocking destruction for a
+        // year.
+        live_.erase(due_.top().token);
+        due_.pop();
+        --in_flight_;
+        m_.pending->set(static_cast<std::int64_t>(in_flight_));
+        if (in_flight_ == 0) drained_.notify_all();
+      } else {
+        cv_.wait_until(lock, next_event_locked());
+      }
       continue;
     }
-    const TimePoint due = pending_.top().done_at;
-    if (stop_ && pending_.top().stuck) {
-      // Shutdown with an uncancelled stuck request: abandon it (its
-      // completion never runs) instead of blocking destruction for a year.
-      pending_.pop();
-      --in_flight_;
-      m_.pending->set(static_cast<std::int64_t>(in_flight_));
-      if (in_flight_ == 0) drained_.notify_all();
-      continue;
-    }
-    if (Clock::now() < due) {
-      cv_.wait_until(lock, due);
-      continue;
-    }
-    // Completion: move the request out, do the data movement and callback
-    // without holding the lock. The depth gauge is published first, so the
-    // caller the completion wakes is ordered after this thread's last touch
-    // of the registry (which may be destroyed before the device).
-    Pending req = std::move(const_cast<Pending&>(pending_.top()));
-    pending_.pop();
-    m_.pending->set(static_cast<std::int64_t>(in_flight_ - 1));
+    // Completions, in due order: data movement and callbacks without holding
+    // the lock. The depth gauge is published first, so the caller a
+    // completion wakes is ordered after this thread's last touch of the
+    // registry (which may be destroyed before the device).
+    m_.pending->set(static_cast<std::int64_t>(in_flight_ - done.size()));
     lock.unlock();
-    std::int32_t res = req.injected_res;
-    if (res == 0) {
-      res = req.op == Op::kRead ? backend_->read(req.offset, req.len, req.buf)
-                                : backend_->write(req.offset, req.len, req.buf);
+    for (Pending& req : done) {
+      std::int32_t res = req.injected_res;
+      if (res == 0) {
+        res = req.op == Op::kRead
+                  ? backend_->read(req.offset, req.len, req.buf)
+                  : backend_->write(req.offset, req.len, req.buf);
+      }
+      if (req.on_complete) {
+        req.on_complete(res < 0 ? res : static_cast<std::int32_t>(req.len));
+      }
     }
-    const std::int32_t cqe_res =
-        res < 0 ? res : static_cast<std::int32_t>(req.len);
-    if (req.on_complete) req.on_complete(cqe_res);
+    const std::size_t n = done.size();
+    done.clear();
     lock.lock();
-    --in_flight_;
+    in_flight_ -= n;
     if (in_flight_ == 0) drained_.notify_all();
   }
 }

@@ -8,10 +8,14 @@
 //   service_time = base_latency(op) + length / per_channel_bandwidth
 //
 // with `channels` independent service channels (internal NAND parallelism).
-// A request's completion time is max(now, earliest_free_channel) + service.
-// Because completions happen in real time on a device thread, synchronous
-// callers genuinely block for the modeled latency and asynchronous callers
-// genuinely overlap — the exact mechanism Appendix A/B of the paper measures.
+// Requests wait in one FIFO per I/O class (IoClass) and start when a channel
+// frees; the latency class goes first, with a bounded starvation window for
+// the throughput class (ChannelArbiter). A request's completion time is its
+// modeled start + service; with a single class that start is
+// max(submit, earliest_free_channel). Because completions happen in real
+// time on a device thread, synchronous callers genuinely block for the
+// modeled latency and asynchronous callers genuinely overlap — the exact
+// mechanism Appendix A/B of the paper measures.
 //
 // Data is held by a backend (RAM image by default; a real file optionally),
 // so reads return real bytes and extraction correctness is testable.
@@ -23,14 +27,17 @@
 // of asserting; see DESIGN.md "Fault model & recovery".
 #pragma once
 
+#include <array>
 #include <condition_variable>
 #include <cstring>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <queue>
 #include <thread>
-#include <unordered_set>
+#include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -125,17 +132,38 @@ struct SsdFaultConfig {
   std::vector<Range> bad_ranges;
 };
 
+/// Arbitration class of a device request. The latency class holds requests
+/// a thread blocks on — read_sync/write_sync (every page-cache fault) and
+/// the serve rings; the throughput class holds bulk traffic — training
+/// extraction, hot-set prefetch and the baselines' rings.
+enum class IoClass : std::uint8_t { kThroughput = 0, kLatency = 1 };
+inline constexpr std::size_t kIoClasses = 2;
+/// "throughput" / "latency": the class segment of the ssd.<class>.* names.
+const char* io_class_name(IoClass io_class);
+
+/// Per-class device accounting.
+struct SsdClassStats {
+  std::uint64_t reads = 0;          ///< read requests submitted
+  double queue_wait_seconds = 0.0;  ///< sum of modeled start - submit
+};
+
 struct SsdStats {
   std::uint64_t reads = 0;
   std::uint64_t writes = 0;
   std::uint64_t bytes_read = 0;
   std::uint64_t bytes_written = 0;
-  double busy_seconds = 0.0;  ///< Sum of per-channel service time.
+  /// Sum of per-channel service time, charged when a request starts.
+  double busy_seconds = 0.0;
   // Fault-injection accounting (all zero when the injector is off).
   std::uint64_t injected_eio = 0;    ///< requests failed with -EIO
   std::uint64_t injected_spikes = 0; ///< requests given a latency spike
   std::uint64_t injected_stuck = 0;  ///< requests that will never complete
   std::uint64_t cancelled = 0;       ///< requests removed via try_cancel
+  /// Indexed by IoClass; the classes' reads sum to `reads`.
+  std::array<SsdClassStats, kIoClasses> by_class{};
+  const SsdClassStats& of(IoClass c) const {
+    return by_class[static_cast<std::size_t>(c)];
+  }
 };
 
 /// Seeded, deterministic per-request fault decision maker. Owned by the
@@ -160,6 +188,61 @@ class FaultInjector {
   Rng rng_;
 };
 
+/// The device's dispatch decision, on given timestamps: it reads no clock,
+/// so a recorded request trace replays deterministically. Requests wait in
+/// one FIFO per class; each dispatch starts one request on the channel that
+/// frees earliest, choosing among the requests already waiting at that
+/// instant. The latency class goes first, except that a throughput request
+/// waits behind at most kLatencyBurst consecutive latency starts. A channel
+/// that frees with nothing waiting idles until the next arrival. With one
+/// class the schedule is exactly start = max(submit, earliest-free channel).
+/// Not synchronized: the device calls it under its lock.
+class ChannelArbiter {
+ public:
+  /// Starvation bound W: the most latency requests that start in a row
+  /// while a throughput request waits. Under a continuous latency stream a
+  /// waiting throughput request still starts within W + 1 dispatches, so
+  /// bulk traffic keeps at least 1/9 of the device's starts.
+  static constexpr unsigned kLatencyBurst = 8;
+
+  struct Request {
+    std::uint64_t token = 0;
+    TimePoint submit;
+    Duration service{};
+    IoClass io_class = IoClass::kThroughput;
+  };
+  struct Start {
+    std::uint64_t token = 0;
+    IoClass io_class = IoClass::kThroughput;
+    TimePoint submit;
+    TimePoint start;
+    TimePoint done;
+    Duration service{};
+  };
+
+  /// Every channel is free from `origin` on.
+  ChannelArbiter(unsigned channels, TimePoint origin);
+
+  /// Queues `request` at the tail of its class FIFO. Submit times must not
+  /// decrease across calls.
+  void enqueue(const Request& request);
+  /// Starts the next request if the earliest-free channel frees by `now`
+  /// and a request waits; its channel stays busy until the returned `done`.
+  std::optional<Start> dispatch(TimePoint now);
+  /// Removes a request that has not started: it never takes a channel.
+  /// False when `token` is not queued (started, or unknown).
+  bool cancel(std::uint64_t token);
+
+  bool idle() const { return queues_[0].empty() && queues_[1].empty(); }
+  /// When the earliest-free channel frees (the next dispatch opportunity).
+  TimePoint next_free() const;
+
+ private:
+  std::vector<TimePoint> channel_free_;
+  std::array<std::deque<Request>, kIoClasses> queues_;
+  unsigned latency_streak_ = 0;  ///< latency starts while throughput waited
+};
+
 class SsdDevice : NonCopyable {
  public:
   enum class Op { kRead, kWrite };
@@ -170,23 +253,28 @@ class SsdDevice : NonCopyable {
   SsdDevice(SsdConfig config, std::shared_ptr<SsdBackend> backend);
   ~SsdDevice();
 
-  /// Submits an asynchronous request. `on_complete` runs on the device thread
-  /// after the modeled service time elapses and the data movement happened;
-  /// it must be cheap and must not call back into the device. Returns a
-  /// token usable with try_cancel().
+  /// Submits an asynchronous request in `io_class`. `on_complete` runs on
+  /// the device thread after the modeled service time elapses and the data
+  /// movement happened; it must be cheap and must not call back into the
+  /// device. Returns a token usable with try_cancel().
   std::uint64_t submit(Op op, std::uint64_t offset, std::uint32_t len,
-                       void* buf, Completion on_complete);
+                       void* buf, Completion on_complete,
+                       IoClass io_class = IoClass::kThroughput);
 
   /// Cancels a submitted-but-not-yet-completed request. Returns true when
   /// the request was still pending: its buffer will never be touched and its
-  /// completion will never run (the caller owns synthesizing an error).
-  /// Returns false when the request already completed or is completing.
+  /// completion will never run (the caller owns synthesizing an error). A
+  /// request cancelled before it started leaves its class queue without
+  /// taking a channel or busy time; one already in service keeps its
+  /// channel until its modeled completion. Returns false when the request
+  /// already completed or is completing.
   bool try_cancel(std::uint64_t token);
 
-  /// Convenience synchronous operations (submit + block until completion).
-  /// Return bytes transferred or -errno. A request that never completes
-  /// (injected stuck) is self-cancelled after a generous deadline and
-  /// returns -ETIMEDOUT, so synchronous callers cannot hang forever either.
+  /// Convenience synchronous operations (submit + block until completion),
+  /// in the latency class. Return bytes transferred or -errno. A request
+  /// that never completes (injected stuck) is self-cancelled after a
+  /// generous deadline and returns -ETIMEDOUT, so synchronous callers
+  /// cannot hang forever either.
   std::int32_t read_sync(std::uint64_t offset, std::uint32_t len, void* dst);
   std::int32_t write_sync(std::uint64_t offset, std::uint32_t len,
                           const void* src);
@@ -212,9 +300,10 @@ class SsdDevice : NonCopyable {
 
   /// Mirrors SsdStats into `telemetry`'s metrics registry under "ssd.*"
   /// counters (reads, writes, bytes_read, bytes_written, busy_us,
-  /// injected_eio, injected_spikes, injected_stuck, cancelled), updated at
-  /// every submit/cancel. Until then, and after nullptr, the mirror goes to
-  /// a registry the device owns.
+  /// injected_eio, injected_spikes, injected_stuck, cancelled, and per
+  /// class ssd.<class>.reads and ssd.<class>.queue_wait_us), updated at
+  /// every submit, start and cancel. Until then, and after nullptr, the
+  /// mirror goes to a registry the device owns.
   void set_telemetry(Telemetry* telemetry);
 
   /// Modeled service time for a request of `len` bytes (no queueing).
@@ -222,21 +311,27 @@ class SsdDevice : NonCopyable {
 
  private:
   struct Pending {
-    TimePoint done_at;
     Op op;
     std::uint64_t offset;
     std::uint32_t len;
     void* buf;
     Completion on_complete;
-    std::uint64_t token = 0;
     std::int32_t injected_res = 0;  ///< <0: fail without data movement
     bool stuck = false;
-    bool operator>(const Pending& other) const {
-      return done_at > other.done_at;
-    }
+  };
+  /// A started (or stuck) request's completion time.
+  struct Due {
+    TimePoint at;
+    std::uint64_t token;
+    bool operator>(const Due& other) const { return at > other.at; }
   };
 
   void device_loop();
+  /// Starts every queued request whose channel is free by `now`.
+  void dispatch_locked(TimePoint now);
+  /// When the device thread next has work: the earliest completion, or,
+  /// while requests queue, the next channel free.
+  TimePoint next_event_locked() const;
   /// Publishes stats_ into the ssd.* counters.
   void mirror_stats_locked();
 
@@ -246,9 +341,11 @@ class SsdDevice : NonCopyable {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::condition_variable drained_;
-  std::priority_queue<Pending, std::vector<Pending>, std::greater<>> pending_;
-  std::unordered_set<std::uint64_t> cancelled_;  ///< lazy heap deletion
-  std::vector<TimePoint> channel_free_;
+  ChannelArbiter arbiter_;
+  /// Submitted requests not yet completed or cancelled, by token. A Due
+  /// entry whose token is gone here was cancelled (lazy heap deletion).
+  std::unordered_map<std::uint64_t, Pending> live_;
+  std::priority_queue<Due, std::vector<Due>, std::greater<>> due_;
   std::size_t in_flight_ = 0;
   std::uint64_t next_token_ = 1;
   bool stop_ = false;
@@ -268,6 +365,8 @@ class SsdDevice : NonCopyable {
     Counter* injected_spikes;
     Counter* injected_stuck;
     Counter* cancelled;
+    std::array<Counter*, kIoClasses> class_reads;       ///< ssd.<class>.reads
+    std::array<Counter*, kIoClasses> class_queue_wait;  ///< ...queue_wait_us
     Gauge* pending;  ///< ssd.pending (device queue depth)
   } m_;
 

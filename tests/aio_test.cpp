@@ -176,6 +176,28 @@ TEST_F(RingFixture, BufferedWithoutCacheIsAConstructorError) {
                std::invalid_argument);
 }
 
+TEST_F(RingFixture, RingClassReachesTheDevice) {
+  // A ring's requests, buffered misses included, carry its io_class to the
+  // device; page-cache faults are latency-class sync reads.
+  IoRing bulk(*ssd, {.queue_depth = 8, .direct = true});
+  IoRing serve(*ssd, {.queue_depth = 8,
+                      .direct = false,
+                      .io_class = IoClass::kLatency},
+               cache.get());
+  std::uint8_t a[512];
+  std::uint8_t b[512];
+  ASSERT_TRUE(bulk.prep_read(0, 512, a, 1));
+  ASSERT_TRUE(serve.prep_read(8192, 512, b, 2));
+  bulk.submit();
+  serve.submit();
+  EXPECT_EQ(bulk.wait_cqe().res, 512);
+  EXPECT_EQ(serve.wait_cqe().res, 512);
+  const SsdStats stats = ssd->stats();
+  EXPECT_EQ(stats.of(IoClass::kThroughput).reads, 1u);
+  EXPECT_EQ(stats.of(IoClass::kLatency).reads, 1u);
+  EXPECT_EQ(stats.reads, 2u);
+}
+
 TEST_F(RingFixture, InjectedEioReachesWaitCqe) {
   SsdFaultConfig faults;
   faults.enabled = true;

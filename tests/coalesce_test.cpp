@@ -1,18 +1,25 @@
 // Coalesced extraction fast path (core/extract.hpp): planner properties,
 // differential byte-identity between coalesce=on and the per-node baseline
 // (training and serving paths), batched feature-buffer APIs, and per-segment
-// failure granularity under injected faults. The extraction tests run both
-// memory targets: host staging rows and device rows under GPUDirect Storage.
+// failure granularity under injected faults, and the staging arena's byte
+// allocator. The extraction tests run both memory targets: a host staging
+// arena and a device arena under GPUDirect Storage.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
+#include <mutex>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include "core/extract.hpp"
 #include "core/pipeline.hpp"
+#include "gpu/gpu.hpp"
+#include "obs/metrics.hpp"
 #include "serve/engine.hpp"
+#include "util/telemetry.hpp"
 
 namespace gnndrive {
 namespace {
@@ -157,8 +164,8 @@ TEST(CoalescePlanner, DuplicateOffsetsShareASegment) {
 
 // -- Differential extraction harness ----------------------------------------
 
-// Where extraction stages its reads: host rows scattered by memcpy, or
-// device rows under GPUDirect Storage (4 KiB reads, on-device copies).
+// Where extraction stages its reads: a host arena scattered by memcpy, or
+// a device arena under GPUDirect Storage (4 KiB reads, on-device copies).
 enum class Target { kStaging, kGds };
 constexpr Target kTargets[] = {Target::kStaging, Target::kGds};
 
@@ -190,7 +197,9 @@ std::uint64_t per_row_read_bytes(const OnDiskLayout& lay,
 struct GatherResult {
   bool ok = false;
   ExtractCounters counters;
-  std::vector<float> data;  ///< nodes.size() x dim, valid rows only when ok
+  /// nodes.size() x dim; when the batch failed, only rows that loaded.
+  std::vector<float> data;
+  std::vector<NodeId> failed;  ///< to-load nodes marked failed
   std::uint64_t ssd_reads = 0;
   std::uint64_t ssd_bytes = 0;
 };
@@ -201,7 +210,8 @@ GatherResult gather(Dataset& ds, Target target, const CoalesceConfig& co,
                     std::uint32_t max_retries = 3,
                     double request_timeout_ms = 250.0,
                     Telemetry* telemetry = nullptr,
-                    const ExtractMetricHooks& hooks = {}) {
+                    const ExtractMetricHooks& hooks = {},
+                    std::uint32_t ring_depth = 64) {
   SsdConfig ssd_cfg;
   ssd_cfg.read_latency_us = 20.0;
   auto ssd = ds.make_device(ssd_cfg);
@@ -215,14 +225,15 @@ GatherResult gather(Dataset& ds, Target target, const CoalesceConfig& co,
   std::unique_ptr<GpuDevice> gpu;
   if (target == Target::kGds) gpu = std::make_unique<GpuDevice>(GpuConfig{});
 
+  // Sized as the pipeline sizes each extractor's arena.
   const std::uint32_t staging_row_bytes = staging_row_bytes_for(
       co, covering_row_bytes(row_bytes, read_align(target)));
-  const std::uint32_t staging_rows = staging_rows_for(co, 64);
+  const std::uint32_t staging_rows = staging_rows_for(co, ring_depth);
   std::vector<std::uint8_t> staging(
-      static_cast<std::size_t>(staging_rows) * staging_row_bytes);
+      staging_arena_bytes(staging_rows, staging_row_bytes));
 
   IoRingConfig rc;
-  rc.queue_depth = 64;
+  rc.queue_depth = ring_depth;
   rc.direct = true;
   rc.max_transfer_bytes = staging_row_bytes;
   IoRing ring(*ssd, rc, nullptr, telemetry);
@@ -270,9 +281,14 @@ GatherResult gather(Dataset& ds, Target target, const CoalesceConfig& co,
   } else {
     // Failure contract: every to-load node resolved (valid or failed) so
     // cross-batch waiters never hang.
+    out.data.assign(nodes.size() * static_cast<std::size_t>(dim), 0.0f);
     for (const auto pos : load_idx) {
       const auto e = fb.entry(batch.nodes[pos]);
       EXPECT_TRUE(e.valid || e.failed) << "node " << batch.nodes[pos];
+      if (e.failed) out.failed.push_back(batch.nodes[pos]);
+      if (!e.valid) continue;
+      std::memcpy(out.data.data() + pos * dim, fb.slot_data(batch.alias[pos]),
+                  static_cast<std::size_t>(dim) * sizeof(float));
     }
   }
 
@@ -285,7 +301,7 @@ GatherResult gather(Dataset& ds, Target target, const CoalesceConfig& co,
   EXPECT_EQ(fb.standby_size(), fb.num_slots());
   EXPECT_EQ(ring.in_flight(), 0u);
   if (hooks.staging_in_use != nullptr) {
-    EXPECT_EQ(hooks.staging_in_use->value(), 0);
+    EXPECT_EQ(hooks.staging_in_use->value(), 0) << "staging bytes leaked";
   }
   out.ssd_reads = ssd->stats().reads;
   out.ssd_bytes = ssd->stats().bytes_read;
@@ -404,6 +420,122 @@ TEST(CoalesceDifferential, MetricsHooksCountSegmentsAndRows) {
   }
 }
 
+// -- StagingArena: byte-granular staging -----------------------------------
+
+TEST(StagingArena, RandomAllocationsNeverOverlapAndCoalesceBack) {
+  for (const std::uint32_t align : {kSectorSize, kPageSize}) {
+    SCOPED_TRACE("align=" + std::to_string(align));
+    constexpr std::uint32_t kMaxBlocks = 24;
+    StagingArena arena(64 * 1024 + 100, kMaxBlocks, align);
+    EXPECT_EQ(arena.capacity() % align, 0u);
+    GpuDevice gpu{GpuConfig{}};  // its DMA thread frees like H2D scatter
+    std::mutex m;
+    struct Block {
+      std::uint64_t off;
+      std::uint32_t len;
+    };
+    std::vector<Block> live;  // held blocks, as the test tracks them
+    std::atomic<int> dma_frees{0};
+    std::mt19937 rng(align);
+    const std::uint8_t dma_src = 0;
+    std::uint8_t dma_dst = 0;
+    const auto overlaps_live = [&](std::uint64_t off, std::uint32_t len) {
+      const std::uint64_t need = round_up(len, align);
+      for (const Block& b : live) {
+        const std::uint64_t end = b.off + round_up(b.len, align);
+        if (off < end && b.off < off + need) return true;
+      }
+      return false;
+    };
+    // A block leaves `live` before its bytes go back, so everything in
+    // `live` is certainly still held by the arena.
+    const auto take_random = [&] {
+      std::lock_guard lk(m);
+      const std::size_t i = rng() % live.size();
+      const Block b = live[i];
+      live[i] = live.back();
+      live.pop_back();
+      return b;
+    };
+    const auto held = [&] {
+      std::lock_guard lk(m);
+      EXPECT_LE(live.size(), kMaxBlocks);
+      return live.size();
+    };
+    for (int step = 0; step < 4000; ++step) {
+      const auto len = static_cast<std::uint32_t>(1 + rng() % (9 * 1024));
+      auto off = arena.allocate(len);
+      if (!off.has_value() && held() == 0) {
+        // Only releases still queued on the DMA thread hold bytes: they
+        // wake the waiter, as H2D completions wake a blocked extractor.
+        ASSERT_TRUE(arena.wait_fit_until(len, TimePoint::max()));
+        off = arena.allocate(len);
+        ASSERT_TRUE(off.has_value());
+      }
+      if (off.has_value()) {
+        EXPECT_EQ(*off % align, 0u);
+        EXPECT_LE(*off + round_up(len, align), arena.capacity());
+        std::lock_guard lk(m);
+        EXPECT_FALSE(overlaps_live(*off, len)) << "step " << step;
+        live.push_back({*off, len});
+      }
+      if (held() == 0 || rng() % 3 == 0) continue;
+      // Out-of-order frees: half from this thread, half from the DMA thread.
+      const Block b = take_random();
+      if (rng() % 2 == 0) {
+        arena.release(b.off, b.len);
+      } else {
+        gpu.memcpy_h2d_async(&dma_dst, &dma_src, 1, [&arena, &dma_frees, b] {
+          arena.release(b.off, b.len);
+          ++dma_frees;
+        });
+      }
+    }
+    gpu.sync();
+    while (true) {
+      {
+        std::lock_guard lk(m);
+        if (live.empty()) break;
+      }
+      const Block b = take_random();
+      arena.release(b.off, b.len);
+    }
+    EXPECT_GT(dma_frees.load(), 100);
+    EXPECT_EQ(arena.free_blocks(), 1u);  // one free block again
+    EXPECT_TRUE(arena.allocate(static_cast<std::uint32_t>(arena.capacity()))
+                    .has_value());
+  }
+}
+
+TEST(StagingArena, BlockCapAndWaitFit) {
+  StagingArena arena(8 * kSectorSize, 2, kSectorSize);
+  const auto a = arena.allocate(kSectorSize);
+  const auto b = arena.allocate(kSectorSize);
+  ASSERT_TRUE(a.has_value() && b.has_value());
+  EXPECT_FALSE(arena.allocate(kSectorSize).has_value());  // block cap
+  EXPECT_FALSE(arena.wait_fit_until(kSectorSize,
+                                    Clock::now() + from_us(1000.0)));
+  std::thread releaser([&] { arena.release(*a, kSectorSize); });
+  EXPECT_TRUE(arena.wait_fit_until(kSectorSize, TimePoint::max()));
+  releaser.join();
+  // Freed neighbours merge: [a] and the tail join around the held [b].
+  arena.release(*b, kSectorSize);
+  EXPECT_EQ(arena.free_blocks(), 1u);
+  EXPECT_TRUE(arena.allocate(8 * kSectorSize).has_value());
+}
+
+TEST(StagingArena, SizingIsAPagePerSlotWithinOneToDepthSegments) {
+  // A page per ring slot when segments are wide...
+  EXPECT_EQ(staging_arena_bytes(256, 24 * 1024), 256u * kPageSize);
+  // ...never below one largest segment (a shallow ring still progresses)...
+  EXPECT_EQ(staging_arena_bytes(1, 24 * 1024), 24u * 1024);
+  EXPECT_EQ(staging_arena_bytes(4, 24 * 1024), 24u * 1024);
+  // ...and never above ring_depth of them (per-node reads of small rows).
+  EXPECT_EQ(staging_arena_bytes(256, 512), 256u * 512);
+  EXPECT_EQ(staging_rows_for(CoalesceConfig{}, 256), 256u);
+  EXPECT_EQ(staging_rows_for(CoalesceConfig{}, 0), 1u);
+}
+
 // -- Batched feature-buffer APIs --------------------------------------------
 
 TEST(FeatureBufferBatchedApis, BatchTriageMatchesSequential) {
@@ -463,6 +595,14 @@ TEST(FeatureBufferBatchedApis, AllocateSlotsAssignsDistinctSlots) {
 
 // -- Fault injection: per-segment failure granularity ------------------------
 
+// io.staging_in_use counts bytes: back to 0 after the run (gather() checked
+// it), with a high watermark of at least one aligned read.
+void expect_staging_counted_in_bytes(const Gauge& staging, Target target) {
+  EXPECT_EQ(staging.value(), 0);
+  EXPECT_GE(staging.max(), static_cast<std::int64_t>(read_align(target)));
+  EXPECT_EQ(staging.max() % read_align(target), 0);
+}
+
 TEST(CoalesceFaults, BadRangeFailsOnlyItsSegmentNodes) {
   Dataset ds = Dataset::build(toy_spec(128));
   const auto& lay = ds.layout();
@@ -486,15 +626,75 @@ TEST(CoalesceFaults, BadRangeFailsOnlyItsSegmentNodes) {
       co.enabled = enabled;
       SCOPED_TRACE(target_name(target));
       SCOPED_TRACE(enabled ? "coalesce=on" : "coalesce=off");
-      const GatherResult r = gather(ds, target, co, all, &faults, 2);
+      Telemetry telemetry;
+      const ExtractMetricHooks hooks = extract_metric_hooks(&telemetry);
+      const GatherResult r = gather(ds, target, co, all, &faults, 2, 250.0,
+                                    &telemetry, hooks);
       EXPECT_FALSE(r.ok);
       EXPECT_GT(r.counters.io_errors, 0u);
-      // Failure granularity is the segment: nodes sharing no bytes with the
-      // bad range load fine, the doomed ones are marked failed (and reset
-      // at release, which gather() verified).
-      const GatherResult healthy_only =
-          gather(ds, target, co, healthy, &faults);
+      // Nodes sharing no bytes with the bad range load fine, the doomed ones
+      // are marked failed (and reset at release, which gather() verified,
+      // with every staging byte back).
+      const GatherResult healthy_only = gather(
+          ds, target, co, healthy, &faults, 3, 250.0, &telemetry, hooks);
       EXPECT_TRUE(healthy_only.ok);
+      expect_staging_counted_in_bytes(*hooks.staging_in_use, target);
+    }
+  }
+}
+
+TEST(CoalesceFaults, FailedSegmentRereadsItsRowsSoOnlyBadRowsFail) {
+  Dataset ds = Dataset::build(toy_spec(128));
+  const auto& lay = ds.layout();
+  // One contiguous run: coalescing merges the two bad rows in its middle
+  // with their healthy neighbours into shared segments. Sixteen rows far
+  // apart follow it on disk, one segment each; with a ring depth of 1 they
+  // are still unsubmitted when the run's segment fails.
+  std::vector<NodeId> nodes;
+  for (NodeId v = 2000; v < 2040; ++v) nodes.push_back(v);
+  for (NodeId v = 3000; v < 3640; v += 40) nodes.push_back(v);
+  const std::vector<float> truth = ground_truth(ds, nodes);
+  SsdFaultConfig faults;
+  faults.enabled = true;
+  faults.bad_ranges.push_back({lay.feature_offset_of(2019),
+                               lay.feature_offset_of(2020) +
+                                   lay.feature_row_bytes});
+  const auto dim = static_cast<std::size_t>(ds.spec().feature_dim);
+
+  for (const Target target : kTargets) {
+    SCOPED_TRACE(target_name(target));
+    const std::uint32_t align = read_align(target);
+    // A row fails when its own covering read touches the bad bytes.
+    std::vector<NodeId> bad;
+    for (const NodeId v : nodes) {
+      const std::uint64_t off = lay.feature_offset_of(v);
+      const SsdFaultConfig::Range& r = faults.bad_ranges[0];
+      if (round_down(off, align) < r.end &&
+          round_up(off + lay.feature_row_bytes, align) > r.begin) {
+        bad.push_back(v);
+      }
+    }
+    ASSERT_LT(bad.size(), nodes.size() / 2);
+    Telemetry telemetry;
+    const ExtractMetricHooks hooks = extract_metric_hooks(&telemetry);
+    const GatherResult r = gather(ds, target, CoalesceConfig{}, nodes,
+                                  &faults, 3, 250.0, &telemetry, hooks, 1);
+    EXPECT_FALSE(r.ok);
+    expect_staging_counted_in_bytes(*hooks.staging_in_use, target);
+    // The run went out as a few wide segments (the bad rows shared them
+    // with healthy ones), then one segment per far row.
+    EXPECT_LT(r.counters.segments, 16u + 40u / 4);
+    std::vector<NodeId> failed = r.failed;
+    std::sort(failed.begin(), failed.end());
+    EXPECT_EQ(failed, bad);
+    // The healthy rows of the failed segments, and the rows planned after
+    // them, loaded byte-exact.
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      if (std::find(bad.begin(), bad.end(), nodes[i]) != bad.end()) continue;
+      EXPECT_EQ(std::memcmp(r.data.data() + i * dim, truth.data() + i * dim,
+                            dim * sizeof(float)),
+                0)
+          << "node " << nodes[i];
     }
   }
 }
@@ -532,10 +732,11 @@ TEST(CoalesceFaults, TransientEioRecoversThroughSegmentRetries) {
       EXPECT_EQ(reg.counter("fault.io_errors").value(), r.counters.io_errors);
       EXPECT_EQ(reg.counter("fault.io_retries").value(),
                 r.counters.io_retries);
-      // Retried segments keep their staging row and redeliver exact bytes.
+      // Retried segments keep their staging bytes and redeliver exact bytes.
       EXPECT_EQ(std::memcmp(r.data.data(), truth.data(),
                             truth.size() * sizeof(float)),
                 0);
+      expect_staging_counted_in_bytes(*hooks.staging_in_use, target);
     }
   }
 }
@@ -551,9 +752,14 @@ TEST(CoalesceFaults, StuckSegmentsCancelledByWatchdog) {
   CoalesceConfig co;
   for (const Target target : kTargets) {
     SCOPED_TRACE(target_name(target));
-    const GatherResult r = gather(ds, target, co, nodes, &faults, 1, 20.0);
+    Telemetry telemetry;
+    const ExtractMetricHooks hooks = extract_metric_hooks(&telemetry);
+    const GatherResult r = gather(ds, target, co, nodes, &faults, 1, 20.0,
+                                  &telemetry, hooks);
     EXPECT_FALSE(r.ok);
     EXPECT_GT(r.counters.io_timeouts, 0u);
+    // Cancelled reads never touch their bytes, so they return at once.
+    expect_staging_counted_in_bytes(*hooks.staging_in_use, target);
   }
 }
 

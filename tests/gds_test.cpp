@@ -78,7 +78,7 @@ TEST_F(GdsFixture, NoHostStagingPinned) {
   EXPECT_LT(env_gds.mem->pinned(), env_std.mem->pinned());
   EXPECT_LT(env_gds.mem->pinned(),
             dataset->host_metadata_bytes() + (64 << 10));
-  // The staging rows move to the device instead, within the per-row GDS
+  // The staging arenas move to the device instead, within the per-row GDS
   // bounce budget: one covering block (the row rounded up to 4 KiB, plus
   // 4 KiB) per ring slot and extractor. Device memory is not the limit
   // here, so the feature buffer keeps the staging path's size.
@@ -94,7 +94,7 @@ TEST_F(GdsFixture, NoHostStagingPinned) {
 }
 
 TEST_F(GdsFixture, DeviceCappedFeatureBufferLeavesActivationHeadroom) {
-  // The device staging rows are charged before the feature buffer is
+  // The device staging arenas are charged before the feature buffer is
   // sized. Allocated after a buffer sized to fill the device, they used to
   // take the headroom reserved for per-batch activations: construction or
   // the first trained batch ran out of device memory.

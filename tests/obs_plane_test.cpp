@@ -886,13 +886,14 @@ TEST_F(ObsPlaneFixture, CongestedConfigIsAttributedToTheSsd) {
 TEST_F(ObsPlaneFixture, MemoryTightBufferedConfigIsAttributedToThePageCache) {
   // Fig. 2 regime: wide features (one 4 KiB page per node, 16 MiB total)
   // read through a page cache squeezed by a tight host budget — misses
-  // evict exactly what the next access needs.
+  // evict exactly what the next access needs. Two extractors' 1 MiB
+  // staging arenas in 3 MiB of host leave the page cache under 1 MiB.
   Dataset wide = Dataset::build(toy_spec(1024));
   SsdConfig ssd_cfg;
   ssd_cfg.read_latency_us = 400.0;
   Env env;
   env.ssd = wide.make_device(ssd_cfg);
-  env.mem = std::make_unique<HostMemory>(14ull << 20);
+  env.mem = std::make_unique<HostMemory>(3ull << 20);
   env.telemetry = std::make_unique<Telemetry>();
   env.ssd->set_telemetry(env.telemetry.get());
   env.cache = std::make_unique<PageCache>(*env.mem, *env.ssd,
@@ -904,7 +905,9 @@ TEST_F(ObsPlaneFixture, MemoryTightBufferedConfigIsAttributedToThePageCache) {
   cfg.direct_io = false;           // features through the page cache
   cfg.staging_fraction = 0.9;      // pin most of what's left of the host
   cfg.feature_buffer_scale = 0.1;  // little cross-batch reuse in the fb
+  cfg.num_extractors = 2;
   GnnDrive system(env.ctx, cfg);
+  ASSERT_EQ(system.effective_extractors(), 2u);
   system.run_epoch(0);
 
   ASSERT_TRUE(env.telemetry->attributor()->has_report());

@@ -124,7 +124,7 @@ TEST_F(PipelineFixture, CpuVariantTrainsWithoutGpu) {
 }
 
 TEST_F(PipelineFixture, RunsUnderTightHostMemoryWithBoundedStaging) {
-  // Staging rows recycle with the I/O depth, so GNNDrive's host footprint
+  // Staging bytes recycle with the I/O depth, so GNNDrive's host footprint
   // stays tiny and a very small budget still trains (the paper's "works
   // even with 8 GB" claim).
   auto env = make_env(6ull << 20);
@@ -133,22 +133,45 @@ TEST_F(PipelineFixture, RunsUnderTightHostMemoryWithBoundedStaging) {
   cfg.num_extractors = 4;
   cfg.ring_depth = 64;
   GnnDrive system(env.ctx, cfg);
-  // Pinned memory is metadata + Ne x staging-row-pool, far below Mb (the
-  // pool follows the coalescing config: wide segment-sized rows, fewer of
-  // them — see staging_rows_for / staging_row_bytes_for).
+  // Pinned memory is metadata + Ne x one staging arena, far below Mb.
   const auto row_bytes =
       static_cast<std::uint32_t>(dataset->layout().feature_row_bytes);
-  const std::uint32_t cover =
-      row_bytes % kSectorSize == 0
-          ? row_bytes
-          : static_cast<std::uint32_t>(round_up(row_bytes, kSectorSize)) +
-                kSectorSize;
-  const std::uint64_t staging =
-      4ull * staging_rows_for(cfg.coalesce, cfg.ring_depth) *
-      staging_row_bytes_for(cfg.coalesce, cover);
+  const std::uint64_t arena = staging_arena_bytes(
+      staging_rows_for(cfg.coalesce, cfg.ring_depth),
+      staging_row_bytes_for(cfg.coalesce,
+                            covering_row_bytes(row_bytes, kSectorSize)));
   EXPECT_LE(env.mem->pinned(),
-            dataset->host_metadata_bytes() + staging + (64 << 10));
+            dataset->host_metadata_bytes() +
+                system.effective_extractors() * arena + (64 << 10));
   const EpochStats stats = system.run_epoch(0);
+  EXPECT_GT(stats.batches, 0u);
+}
+
+TEST_F(PipelineFixture, ByteArenasKeepFourExtractorsUnderATightHostBudget) {
+  // 16 MiB of host memory: half of it (the staging budget) holds four
+  // 1 MiB byte arenas, where one 256-deep pool of segment-wide 24 KiB rows
+  // (6 MiB per extractor) already left room for a single extractor.
+  auto env = make_env(16ull << 20);
+  GnnDriveConfig cfg = base_config();
+  cfg.num_extractors = 4;
+  cfg.ring_depth = 256;
+  const std::uint64_t budget = static_cast<std::uint64_t>(
+      cfg.staging_fraction *
+      static_cast<double>(env.mem->available() -
+                          dataset->host_metadata_bytes()));
+  const auto row_bytes =
+      static_cast<std::uint32_t>(dataset->layout().feature_row_bytes);
+  const std::uint32_t max_segment = staging_row_bytes_for(
+      cfg.coalesce, covering_row_bytes(row_bytes, kSectorSize));
+  ASSERT_GT(2ull * cfg.ring_depth * max_segment, budget);
+  GnnDrive system(env.ctx, cfg);
+  EXPECT_EQ(system.effective_extractors(), 4u);
+  const std::uint64_t arena = staging_arena_bytes(cfg.ring_depth, max_segment);
+  EXPECT_EQ(arena, 256u * kPageSize);
+  EXPECT_LE(env.mem->pinned(),
+            dataset->host_metadata_bytes() + 4 * arena + (64 << 10));
+  const EpochStats stats = system.run_epoch(0);
+  EXPECT_TRUE(stats.result.ok());
   EXPECT_GT(stats.batches, 0u);
 }
 

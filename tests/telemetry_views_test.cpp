@@ -172,6 +172,22 @@ TEST(TelemetryViews, EveryReportIsARegistryDiff) {
   EXPECT_EQ(ssd1.reads - ssd0.reads, delta("ssd.reads"));
   EXPECT_EQ(ssd1.bytes_read - ssd0.bytes_read, delta("ssd.bytes_read"));
   EXPECT_GT(ssd1.reads - ssd0.reads, 0u);
+  // Per arbitration class: training extraction is throughput-class, page
+  // faults and serve reads latency-class, and together they are every read.
+  std::uint64_t class_reads = 0;
+  for (const IoClass c : {IoClass::kThroughput, IoClass::kLatency}) {
+    const std::string p = std::string("ssd.") + io_class_name(c) + ".";
+    const std::uint64_t reads = ssd1.of(c).reads - ssd0.of(c).reads;
+    EXPECT_EQ(reads, delta(p + "reads")) << p;
+    EXPECT_GT(reads, 0u) << p;
+    class_reads += reads;
+    // The registry holds whole microseconds of the same running sum.
+    EXPECT_NEAR(
+        (ssd1.of(c).queue_wait_seconds - ssd0.of(c).queue_wait_seconds) * 1e6,
+        static_cast<double>(delta(p + "queue_wait_us")), 1.0)
+        << p;
+  }
+  EXPECT_EQ(class_reads, delta("ssd.reads"));
 }
 
 }  // namespace
