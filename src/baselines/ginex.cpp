@@ -2,14 +2,13 @@
 
 #include <atomic>
 #include <queue>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "aio/io_ring.hpp"
 #include "baselines/batch_serde.hpp"
+#include "core/stage.hpp"
 #include "util/logging.hpp"
-#include "util/queue.hpp"
 
 namespace gnndrive {
 
@@ -181,48 +180,38 @@ EpochStats Ginex::run_epoch(std::uint64_t epoch) {
       std::atomic<std::size_t> next{0};
       std::mutex spill_mu;
       std::uint64_t cursor = ds.layout().scratch_offset;
-      std::mutex err_mu;
-      std::exception_ptr error;
-      std::vector<std::thread> workers;
-      for (std::uint32_t w = 0; w < config_.num_workers; ++w) {
-        workers.emplace_back([&] {
-          try {
-            std::vector<std::uint8_t> ser;
-            for (;;) {
-              const std::size_t k = next.fetch_add(1);
-              if (k >= sb_count) break;
-              const std::size_t b = sb_start + k;
-              SampledBatch batch;
-              {
-                BusyScope busy(ctx_.telemetry);
-                batch = sampler_.sample(((epoch + 1) << 24) | b, batches[b],
-                                        *neighbor_cache_, &ds.labels());
-              }
-              node_lists[k] = batch.nodes;
-              serialize_batch(batch, ser);
-              ser.resize(round_up(ser.size(), kSectorSize));
-              std::uint64_t off;
-              {
-                std::lock_guard lk(spill_mu);
-                off = cursor;
-                cursor += ser.size();
-                GD_CHECK_MSG(cursor <= ds.layout().scratch_offset +
-                                           ds.layout().scratch_bytes,
-                             "ginex scratch overflow");
-              }
-              spill_offset[k] = off;
-              spill_len[k] = ser.size();
-              bulk_io(*ctx_.ssd, ctx_.telemetry, /*write=*/true, off,
-                      ser.data(), ser.size(), /*depth=*/4);
-            }
-          } catch (...) {
-            std::lock_guard lk(err_mu);
-            if (!error) error = std::current_exception();
+      StageGroup group;
+      group.stage(kSpanSample, config_.num_workers, [&](Stage&, std::uint32_t) {
+        std::vector<std::uint8_t> ser;
+        for (;;) {
+          const std::size_t k = next.fetch_add(1);
+          if (k >= sb_count) break;
+          const std::size_t b = sb_start + k;
+          SampledBatch batch;
+          {
+            BusyScope busy(ctx_.telemetry);
+            batch = sampler_.sample(((epoch + 1) << 24) | b, batches[b],
+                                    *neighbor_cache_, &ds.labels());
           }
-        });
-      }
-      for (auto& t : workers) t.join();
-      if (error) std::rethrow_exception(error);
+          node_lists[k] = batch.nodes;
+          serialize_batch(batch, ser);
+          ser.resize(round_up(ser.size(), kSectorSize));
+          std::uint64_t off;
+          {
+            std::lock_guard lk(spill_mu);
+            off = cursor;
+            cursor += ser.size();
+            GD_CHECK_MSG(cursor <= ds.layout().scratch_offset +
+                                       ds.layout().scratch_bytes,
+                         "ginex scratch overflow");
+          }
+          spill_offset[k] = off;
+          spill_len[k] = ser.size();
+          bulk_io(*ctx_.ssd, ctx_.telemetry, /*write=*/true, off, ser.data(),
+                  ser.size(), /*depth=*/4);
+        }
+      });
+      group.run();
       stats.sample_seconds += to_seconds(Clock::now() - t0);
       GD_LOG_INFO("ginex superbatch %zu: sampling %.3fs",
                   sb_start / config_.superbatch,

@@ -1,11 +1,10 @@
 #include "baselines/pygplus.hpp"
 
 #include <atomic>
-#include <thread>
 
+#include "core/stage.hpp"
 #include "memsim/mmap_region.hpp"
 #include "sampling/topology.hpp"
-#include "util/queue.hpp"
 
 namespace gnndrive {
 
@@ -30,27 +29,17 @@ EpochStats PygPlus::run_epoch(std::uint64_t epoch) {
     Tensor x0;
     PinnedBytes pin;  ///< transient host tensor accounting
   };
-  BoundedQueue<Ready> ready_q(config_.prefetch_cap);
-
+  StageGroup group;
+  auto& ready_q = group.link<Ready>("ready_q", config_.prefetch_cap);
   std::atomic<std::size_t> next_batch{0};
-  std::atomic<std::uint64_t> sample_ns{0};
-  std::atomic<std::uint64_t> extract_ns{0};
-  std::mutex err_mu;
-  std::exception_ptr error;
-  const auto capture_error = [&] {
-    std::lock_guard lk(err_mu);
-    if (!error) error = std::current_exception();
-    ready_q.close();
-  };
-
   EpochStats stats;
   stats.batches = n_batches;
-  const TimePoint t0 = Clock::now();
 
-  std::vector<std::thread> workers;
-  for (std::uint32_t w = 0; w < config_.num_workers; ++w) {
-    workers.emplace_back([&] {
-      try {
+  // Each worker samples a batch, then extracts its features on the same
+  // thread: the extraction is timed by a stage of its own.
+  Stage& extract = group.stage(kSpanExtract, 0, nullptr);
+  Stage& sample = group.stage(kSpanSample, config_.num_workers,
+      [&](Stage& self, std::uint32_t) {
         MmapTopology topo(ds, *ctx_.page_cache);
         MmapRegion features(*ctx_.page_cache, ds.layout().features_offset,
                             ds.layout().features_bytes);
@@ -58,73 +47,57 @@ EpochStats PygPlus::run_epoch(std::uint64_t epoch) {
         for (;;) {
           const std::size_t b = next_batch.fetch_add(1);
           if (b >= n_batches) break;
-
-          TimePoint ts = Clock::now();
-          SampledBatch batch;
-          {
+          const std::uint64_t id = ((epoch + 1) << 24) | b;
+          SampledBatch batch = self.time(id, [&] {
             BusyScope busy(ctx_.telemetry);
-            batch = sampler_.sample(((epoch + 1) << 24) | b, batches[b],
-                                    topo, &ds.labels());
-          }
-          sample_ns.fetch_add(static_cast<std::uint64_t>(
-              to_seconds(Clock::now() - ts) * 1e9));
+            return sampler_.sample(id, batches[b], topo, &ds.labels());
+          });
           if (config_.common.sample_only) continue;
 
           // Synchronous feature extraction through the page cache: every
           // node row is a potential page fault blocking this worker.
-          ts = Clock::now();
-          Ready ready;
-          ready.x0.resize(static_cast<std::uint32_t>(batch.num_nodes()), dim);
-          ready.pin = PinnedBytes(*ctx_.host_mem, ready.x0.bytes(),
-                                  "pygplus-batch-tensor");
-          for (std::uint32_t i = 0; i < batch.num_nodes(); ++i) {
-            // feature_row_of routes through the installed layout plan so
-            // the mmap path reads a packed store correctly too.
-            features.read_bytes(
-                ds.layout().feature_row_of(batch.nodes[i]) *
-                    ds.layout().feature_row_bytes,
-                ds.layout().feature_row_bytes, ready.x0.row(i));
-          }
+          Ready ready = extract.time(id, [&] {
+            Ready r;
+            r.x0.resize(static_cast<std::uint32_t>(batch.num_nodes()), dim);
+            r.pin = PinnedBytes(*ctx_.host_mem, r.x0.bytes(),
+                                "pygplus-batch-tensor");
+            for (std::uint32_t i = 0; i < batch.num_nodes(); ++i) {
+              // feature_row_of routes through the installed layout plan so
+              // the mmap path reads a packed store correctly too.
+              features.read_bytes(
+                  ds.layout().feature_row_of(batch.nodes[i]) *
+                      ds.layout().feature_row_bytes,
+                  ds.layout().feature_row_bytes, r.x0.row(i));
+            }
+            return r;
+          });
           ready.batch = std::move(batch);
-          extract_ns.fetch_add(static_cast<std::uint64_t>(
-              to_seconds(Clock::now() - ts) * 1e9));
           if (!ready_q.push(std::move(ready))) break;
         }
-      } catch (...) {
-        capture_error();
-      }
-    });
-  }
+      },
+      {&ready_q});
 
-  // Training thread role (run on this thread): synchronous transfer + train.
-  if (!config_.common.sample_only) {
-    try {
-      for (std::size_t done = 0; done < n_batches; ++done) {
-        auto ready = ready_q.pop();
-        if (!ready.has_value()) break;
-        const TimePoint ts = Clock::now();
-        const TrainStats tr = trainer_->step(ready->batch, ready->x0);
-        stats.train_seconds += to_seconds(Clock::now() - ts);
-        stats.loss += tr.loss;
-        stats.train_accuracy +=
-            tr.total > 0
-                ? static_cast<double>(tr.correct) / static_cast<double>(tr.total)
-                : 0.0;
-      }
-    } catch (...) {
-      capture_error();
-    }
-  }
-  ready_q.close();
-  for (auto& t : workers) t.join();
-  {
-    std::lock_guard lk(err_mu);
-    if (error) std::rethrow_exception(error);
-  }
+  // Training thread: synchronous transfer + train.
+  Stage& train = group.stage(kSpanTrain, config_.common.sample_only ? 0 : 1,
+      [&](Stage& self, std::uint32_t) {
+        ready_q.each([&](Ready& ready) {
+          const TrainStats tr = self.time(ready.batch.batch_id, [&] {
+            return trainer_->step(ready.batch, ready.x0);
+          });
+          stats.loss += tr.loss;
+          stats.train_accuracy +=
+              tr.total > 0 ? static_cast<double>(tr.correct) /
+                                 static_cast<double>(tr.total)
+                           : 0.0;
+        });
+      });
 
+  const TimePoint t0 = Clock::now();
+  group.run();
   stats.epoch_seconds = to_seconds(Clock::now() - t0);
-  stats.sample_seconds = static_cast<double>(sample_ns.load()) / 1e9;
-  stats.extract_seconds = static_cast<double>(extract_ns.load()) / 1e9;
+  stats.sample_seconds = sample.seconds();
+  stats.extract_seconds = extract.seconds();
+  stats.train_seconds = train.seconds();
   if (n_batches > 0) {
     stats.loss /= static_cast<double>(n_batches);
     stats.train_accuracy /= static_cast<double>(n_batches);

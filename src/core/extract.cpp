@@ -268,6 +268,28 @@ bool resolve_wait_list(FeatureBuffer& fb, SampledBatch& batch,
   return true;
 }
 
+void set_timeouts(ExtractPolicy& policy, double request_timeout_ms,
+                  double wait_list_timeout_ms) {
+  policy.request_timeout = from_us(request_timeout_ms * 1e3);
+  policy.poll = std::max(from_us(request_timeout_ms * 1e3 / 4), from_us(500.0));
+  policy.wait_list_timeout = from_us(wait_list_timeout_ms * 1e3);
+}
+
+bool extract_batch(SampledBatch& batch, const ExtractEnv& env,
+                   const ExtractPolicy& policy,
+                   const ExtractMetricHooks& hooks, ExtractCounters& counters,
+                   ExtractTrace* trace) {
+  std::vector<std::uint32_t> wait_idx;
+  std::vector<std::uint32_t> load_idx;
+  {
+    BusyScope busy(env.telemetry);
+    triage_batch(*env.fb, batch, wait_idx, load_idx, policy.client);
+  }
+  return extract_load_set(batch, load_idx, env, policy, hooks, counters,
+                          trace) &&
+         resolve_wait_list(*env.fb, batch, wait_idx, policy.wait_list_timeout);
+}
+
 bool extract_load_set(SampledBatch& batch,
                       const std::vector<std::uint32_t>& load_idx,
                       const ExtractEnv& env, const ExtractPolicy& policy,

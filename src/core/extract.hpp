@@ -192,7 +192,18 @@ struct ExtractPolicy {
   std::uint64_t epoch = 0;
   bool log_epoch = true;                ///< serve batches carry no epoch
   const char* fail_event = "extract_failed";
+  /// Bound on waiting for a node another worker is loading. A loader always
+  /// resolves its nodes (valid or failed), so this fires only if that
+  /// worker died; the waiter then fails its batch instead of hanging.
+  Duration wait_list_timeout{};
+  FbClient client = FbClient::kTrain;  ///< fb.train.* or fb.serve.* triage
 };
+
+/// Sets a policy's timeouts from milliseconds. The watchdog polls at a
+/// quarter of the request timeout (at least 500 us): often enough to catch
+/// stuck requests well within it, rarely enough to stay off the fast path.
+void set_timeouts(ExtractPolicy& policy, double request_timeout_ms,
+                  double wait_list_timeout_ms);
 
 /// Registry instruments for the coalescing fast path, resolved once per
 /// worker by the caller (all optional).
@@ -257,6 +268,15 @@ bool extract_load_set(SampledBatch& batch,
 bool resolve_wait_list(FeatureBuffer& fb, SampledBatch& batch,
                        const std::vector<std::uint32_t>& wait_idx,
                        Duration timeout);
+
+/// Algorithm 1 for one batch: triage under one buffer-lock take (lines
+/// 5-19), extract_load_set over the to-load set (lines 20-31), then the
+/// wait list (line 38). False when the batch failed; either way the caller
+/// owns releasing its references. Training and serving both extract here.
+bool extract_batch(SampledBatch& batch, const ExtractEnv& env,
+                   const ExtractPolicy& policy,
+                   const ExtractMetricHooks& hooks, ExtractCounters& counters,
+                   ExtractTrace* trace);
 
 /// Largest segment a configuration plans (the staging arena's allocation
 /// ceiling and the ring's max transfer): the covering row when coalescing

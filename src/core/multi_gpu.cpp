@@ -1,7 +1,8 @@
 #include "core/multi_gpu.hpp"
 
-#include <exception>
 #include <thread>
+
+#include "core/stage.hpp"
 
 namespace gnndrive {
 
@@ -54,25 +55,19 @@ EpochStats MultiGpuGnnDrive::run_epoch(std::uint64_t epoch) {
   } hook_reset{replicas_};
 
   std::vector<EpochStats> stats(n);
-  std::vector<std::exception_ptr> errors(n);
-  std::vector<std::thread> threads;
+  StageGroup group;
+  group.stage("replica", n, [&](Stage&, std::uint32_t r) {
+    try {
+      stats[r] = replicas_[r]->run_epoch(epoch);
+    } catch (...) {
+      // This replica never reaches the barrier again; drop out so its
+      // siblings' gradient syncs stop waiting for it.
+      sync.arrive_and_drop();
+      throw;
+    }
+  });
   const TimePoint t0 = Clock::now();
-  for (std::uint32_t r = 0; r < n; ++r) {
-    threads.emplace_back([&, r] {
-      try {
-        stats[r] = replicas_[r]->run_epoch(epoch);
-      } catch (...) {
-        errors[r] = std::current_exception();
-        // This replica never reaches the barrier again; drop out so its
-        // siblings' gradient syncs stop waiting for it.
-        sync.arrive_and_drop();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (const std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
+  group.run();
 
   EpochStats out;
   out.epoch_seconds = to_seconds(Clock::now() - t0);

@@ -41,7 +41,7 @@ class MultiGpuGnnDrive : NonCopyable {
   /// Runs one epoch across all replicas; epoch_seconds is the wall time of
   /// the slowest replica, loss/accuracy are averaged. A replica that throws
   /// drops out of the gradient barrier so its siblings finish; once every
-  /// replica has returned, the lowest-numbered failure is rethrown.
+  /// replica has returned, the first failure is rethrown.
   EpochStats run_epoch(std::uint64_t epoch);
 
   double evaluate();

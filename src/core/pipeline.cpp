@@ -1,12 +1,12 @@
 #include "core/pipeline.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <exception>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "core/evaluate.hpp"
+#include "core/stage.hpp"
 #include "obs/attribution.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
@@ -27,38 +27,133 @@ void model_cpu_slowdown(double real_seconds, double factor) {
   }
 }
 
-std::uint64_t elapsed_ns(TimePoint begin, TimePoint end) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(end - begin)
-          .count());
+/// Release-queue payload: the node list plus the batch id, so release spans
+/// line up with the rest of the batch's trace.
+struct ReleaseItem {
+  std::uint64_t batch_id = 0;
+  std::vector<NodeId> nodes;
+};
+
+/// The extract loop interleaves submit / SSD wait / transfer wait; their
+/// accumulated durations are emitted back-to-back from `base` so the
+/// extract row of the trace shows where the time went.
+void record_extract_phases(SpanTracer* tracer, std::uint64_t batch,
+                           std::uint32_t epoch, std::uint64_t base,
+                           const ExtractTrace& tr) {
+  if (tracer == nullptr) return;
+  const std::pair<const char*, std::uint64_t> phases[] = {
+      {kSpanRingSubmit, tr.submit_ns},
+      {kSpanSsdWait, tr.ssd_wait_ns},
+      {kSpanCopyWait, tr.copy_wait_ns}};
+  for (const auto& [name, ns] : phases) {
+    if (ns == 0) continue;
+    tracer->record_rel(name, batch, epoch, base, ns);
+    base += ns;
+  }
 }
 
-/// Epoch encoded into SampledBatch::batch_id by run_epoch's samplers.
-std::uint32_t epoch_of(std::uint64_t batch_id) {
-  return static_cast<std::uint32_t>((batch_id >> 24) - 1);
+/// The epoch report's extraction totals, stage rows and feature-buffer
+/// hits: sums over the extractors and registry diffs over the epoch.
+void summarize_epoch(EpochStats& stats,
+                     const std::vector<ExtractCounters>& extractors,
+                     const MetricsRegistry::Snapshot& begin,
+                     const MetricsRegistry::Snapshot& end,
+                     const FeatureBufferStats& fb_before,
+                     const FeatureBufferStats& fb_after) {
+  for (const ExtractCounters& c : extractors) {
+    stats.result.io_errors += c.io_errors;
+    stats.result.io_retries += c.io_retries;
+    stats.result.io_recovered += c.io_recovered;
+    stats.result.io_timeouts += c.io_timeouts;
+    stats.obs.io_segments += c.segments;
+    stats.obs.io_rows += c.rows_loaded;
+  }
+  const auto stage = [&](const char* name) {
+    return StageLatency::of(
+        end.histogram(name).diff_since(begin.histogram(name)));
+  };
+  stats.obs.sample = stage("stage.sample.us");
+  stats.obs.extract = stage("stage.extract.us");
+  stats.obs.train = stage("stage.train.us");
+  stats.obs.release = stage("stage.release.us");
+  stats.obs.fb_hot_hits = fb_after.hot_hits - fb_before.hot_hits;
+  stats.obs.fb_reuse_hits = fb_after.reuse_hits - fb_before.reuse_hits;
+  stats.obs.fb_wait_hits = fb_after.wait_hits - fb_before.wait_hits;
+  stats.obs.fb_loads = fb_after.loads - fb_before.loads;
 }
 
 }  // namespace
 
-struct GnnDrive::ExtractorState {
-  std::unique_ptr<IoRing> ring;
-  std::uint8_t* staging_base = nullptr;  ///< this ring's staging arena
-  Rng backoff_rng{0};                    ///< jitter source, seeded per worker
-  ExtractMetricHooks hooks;              ///< null without telemetry
-  ExtractCounters counters;              ///< this epoch's extraction totals
-  /// The current batch's extract sub-phases, accumulated only while tracing
-  /// (the loop interleaves submit / SSD wait / transfer wait; the worker
-  /// emits them as sequential synthetic spans).
-  ExtractTrace trace;
+/// One extractor's ring, staging arena and retry policy for an epoch.
+struct GnnDrive::ExtractorState : NonCopyable {
+  ExtractorState(GnnDrive& gd, std::uint64_t epoch, std::uint32_t e)
+      : ft(gd.config_.fault),
+        failed_batches(gd.metrics_.counter("fault.failed_batches")),
+        backoff_rng(splitmix64(gd.config_.common.run_seed ^ (epoch << 8) ^ e)),
+        hooks(extract_metric_hooks(gd.ctx_.telemetry)) {
+    IoRingConfig rc;
+    rc.queue_depth = gd.config_.ring_depth;
+    // Direct I/O bypasses the OS page cache (Sect. 4.2); buffered mode
+    // exists as an ablation (see GnnDriveConfig::direct_io).
+    rc.direct = gd.config_.direct_io;
+    // A request longer than any planned segment would overrun its staging
+    // bytes; the ring rejects such a planner bug with -EINVAL.
+    rc.max_transfer_bytes = gd.max_segment_bytes_;
+    ring = std::make_unique<IoRing>(
+        *gd.ctx_.ssd, rc, gd.config_.direct_io ? nullptr : gd.ctx_.page_cache,
+        gd.ctx_.telemetry);
+    const OnDiskLayout& lay = gd.ctx_.dataset->layout();
+    env = ExtractEnv{gd.feature_buffer_.get(), &lay,
+                     static_cast<std::uint32_t>(lay.feature_row_bytes),
+                     ring.get(), gd.staging_.data() + e * gd.arena_bytes_,
+                     gd.max_segment_bytes_, gd.inflight_cap_, gd.gpu_.get(),
+                     gd.ctx_.telemetry, gd.config_.gds_mode};
+    policy.coalesce = gd.config_.coalesce;
+    policy.max_retries = ft.max_retries;
+    set_timeouts(policy, ft.request_timeout_ms, ft.wait_list_timeout_ms);
+    policy.backoff = [this](std::uint32_t attempt) { return backoff(attempt); };
+    policy.epoch = epoch;
+  }
+
+  /// Algorithm 1 for one batch; false when it was abandoned after
+  /// exhausting retries (its references still need releasing).
+  bool extract(SampledBatch& batch) {
+    policy.batch_id = batch.batch_id;
+    return extract_batch(batch, env, policy, hooks, counters, &trace);
+  }
+
+  /// Counts and logs a batch that failed extraction; under fail_fast,
+  /// throws to abort the epoch.
+  void report_failure(std::uint64_t batch_id) {
+    failed_batches.add();
+    log_structured(LogLevel::kWarn, "batch_failed",
+                   {kv("batch", batch_id), kv("epoch", policy.epoch),
+                    kv("io_errors", counters.io_errors),
+                    kv("io_retries", counters.io_retries)});
+    if (ft.fail_fast) {
+      throw std::runtime_error("GNNDrive: batch extraction failed (fail_fast)");
+    }
+  }
 
   /// Jittered exponential backoff delay before retry number `attempt` (1+).
-  Duration backoff(const FaultToleranceConfig& ft, std::uint32_t attempt) {
+  Duration backoff(std::uint32_t attempt) {
     double us = ft.backoff_initial_us;
     for (std::uint32_t a = 1; a < attempt; ++a) us *= ft.backoff_multiplier;
     const double jitter =
         1.0 + ft.backoff_jitter * (2.0 * backoff_rng.next_double() - 1.0);
     return from_us(us * std::max(jitter, 0.0));
   }
+
+  const FaultToleranceConfig& ft;
+  Counter& failed_batches;  ///< fault.failed_batches
+  std::unique_ptr<IoRing> ring;
+  ExtractEnv env;
+  ExtractPolicy policy;
+  Rng backoff_rng{0};        ///< jitter source, seeded per worker
+  ExtractMetricHooks hooks;  ///< null without telemetry
+  ExtractCounters counters;  ///< this epoch's extraction totals
+  /// The current batch's extract sub-phases, accumulated only while tracing.
+  ExtractTrace trace;
 };
 
 GnnDrive::GnnDrive(const RunContext& ctx, GnnDriveConfig config)
@@ -271,66 +366,6 @@ void GnnDrive::ensure_hot_cache(const std::vector<NodeId>* from_checkpoint) {
   hot_ready_ = true;
 }
 
-bool GnnDrive::extract_batch(SampledBatch& batch, ExtractorState& state) {
-  FeatureBuffer& fb = *feature_buffer_;
-  const OnDiskLayout& lay = ctx_.dataset->layout();
-  const auto row_bytes = static_cast<std::uint32_t>(lay.feature_row_bytes);
-  const FaultToleranceConfig& ft = config_.fault;
-  const Duration req_timeout = from_us(ft.request_timeout_ms * 1e3);
-  // Watchdog poll granularity: short enough to detect stuck requests well
-  // within the timeout, long enough to stay off the fast path.
-  const Duration poll =
-      std::max(from_us(ft.request_timeout_ms * 1e3 / 4), from_us(500.0));
-  const Duration wait_list_timeout = from_us(ft.wait_list_timeout_ms * 1e3);
-
-  std::vector<std::uint32_t> wait_idx;
-  std::vector<std::uint32_t> load_idx;
-
-  // Pass 1 (Algorithm 1 lines 5-19): reuse triage + reference counts, one
-  // buffer-lock acquisition for the whole batch.
-  {
-    BusyScope busy(ctx_.telemetry);
-    triage_batch(fb, batch, wait_idx, load_idx);
-  }
-
-  // Pass 2 (lines 20-31): the shared coalescing core (core/extract.cpp)
-  // plans sorted-run merged reads, allocates slots per segment under one
-  // buffer-lock take, submits the asynchronous loads and scatters completed
-  // rows, preserving the per-segment retry/watchdog/fail protocol. Training
-  // installs jittered exponential backoff as its retry policy.
-  ExtractEnv env;
-  env.fb = &fb;
-  env.layout = &lay;
-  env.row_bytes = row_bytes;
-  env.ring = state.ring.get();
-  env.staging_base = state.staging_base;
-  env.staging_row_bytes = max_segment_bytes_;
-  env.staging_rows = inflight_cap_;
-  env.gpu = gpu_.get();
-  env.telemetry = ctx_.telemetry;
-  env.gds = config_.gds_mode;
-
-  ExtractPolicy policy;
-  policy.coalesce = config_.coalesce;
-  policy.max_retries = ft.max_retries;
-  policy.request_timeout = req_timeout;
-  policy.poll = poll;
-  policy.backoff = [&state, &ft](std::uint32_t attempt) {
-    return state.backoff(ft, attempt);
-  };
-  policy.batch_id = batch.batch_id;
-  policy.epoch = epoch_of(batch.batch_id);
-
-  bool ok = extract_load_set(batch, load_idx, env, policy, state.hooks,
-                             state.counters, &state.trace);
-
-  // Wait-list resolution (line 38): nodes other extractors were loading. A
-  // loader always resolves its nodes (valid or failed), so the timeout only
-  // fires if that extractor died; the waiter then fails its batch too.
-  if (ok) ok = resolve_wait_list(fb, batch, wait_idx, wait_list_timeout);
-  return ok;
-}
-
 double GnnDrive::train_batch(SampledBatch& batch, EpochStats& stats) {
   const std::uint32_t dim = ctx_.dataset->spec().feature_dim;
   Tensor x0(static_cast<std::uint32_t>(batch.num_nodes()), dim);
@@ -447,61 +482,30 @@ std::optional<GnnDrive::ResumeInfo> GnnDrive::resume() {
   return info;
 }
 
-EpochStats GnnDrive::run_epoch(std::uint64_t epoch) {
-  const Dataset& ds = *ctx_.dataset;
-  // Hotness policy: profile + prefetch + pin before the first batch (no-op
-  // for kLru or once the partition exists). Runs outside the epoch timer's
-  // steady state on purpose — it is a one-time startup cost.
-  ensure_hot_cache();
-
+std::vector<std::vector<NodeId>> GnnDrive::epoch_batches(
+    std::uint64_t epoch) const {
   // Data-parallel segment of the training set (whole set by default).
+  const auto& all = ctx_.dataset->train_nodes();
   std::vector<NodeId> train;
-  {
-    const auto& all = ds.train_nodes();
-    train.reserve(all.size() / segment_count_ + 1);
-    for (std::size_t i = segment_index_; i < all.size();
-         i += segment_count_) {
-      train.push_back(all[i]);
-    }
+  train.reserve(all.size() / segment_count_ + 1);
+  for (std::size_t i = segment_index_; i < all.size(); i += segment_count_) {
+    train.push_back(all[i]);
   }
   auto batches = make_minibatches(
       train, config_.common.batch_seeds,
       splitmix64(config_.common.run_seed ^ (epoch + 1)));
   if (segment_count_ > 1) {
     // Equal batch counts across replicas so gradient-sync barriers line up.
-    const std::size_t equal = (ds.train_nodes().size() / segment_count_) /
-                              config_.common.batch_seeds;
+    const std::size_t equal =
+        (all.size() / segment_count_) / config_.common.batch_seeds;
     if (equal > 0 && batches.size() > equal) batches.resize(equal);
   }
-  const std::size_t n_batches = batches.size();
+  return batches;
+}
 
-  // Resume cursor: the first run_epoch after resume() starts mid-epoch at
-  // the checkpointed batch; the shuffle above is deterministic per
-  // (run_seed, epoch), so batches[start..] are exactly the ones the
-  // interrupted run never trained.
-  std::size_t start = 0;
-  if (has_resume_ && epoch == resume_epoch_) {
-    start = std::min<std::size_t>(resume_cursor_, n_batches);
-  }
-  has_resume_ = false;
-  cur_epoch_ = epoch;
-  cursor_.store(start);
-  const bool ckpt_on = ckpt_mgr_ != nullptr;
-
-  // Observability handles for this epoch (see docs/observability.md). Stage
-  // histograms are always-on relaxed atomics; spans are recorded only while
-  // tracing is enabled.
-  Telemetry* tel = ctx_.telemetry;
-  MetricsRegistry& reg = metrics_;
-  SpanTracer* tracer = tel != nullptr ? tel->tracer() : nullptr;
-  const bool tracing = tracer != nullptr && tracer->enabled();
-  const auto epoch32 = static_cast<std::uint32_t>(epoch);
-
-  // Live telemetry plane: refresh the attributor's topology, lease the
-  // time-series sampler for the duration of the epoch (replaces the old
-  // tracing-only 5 ms monitor thread — the sampler re-emits every gauge as
-  // a trace counter track while tracing is on), and mark the process ready.
-  BottleneckAttributor* attributor = tel != nullptr ? tel->attributor() : nullptr;
+BottleneckAttributor* GnnDrive::configure_attributor() {
+  BottleneckAttributor* attributor =
+      ctx_.telemetry != nullptr ? ctx_.telemetry->attributor() : nullptr;
   if (attributor != nullptr) {
     AttributionConfig ac = attributor->config();
     ac.num_samplers = config_.num_samplers;
@@ -511,345 +515,202 @@ EpochStats GnnDrive::run_epoch(std::uint64_t epoch) {
     if (ctx_.ssd != nullptr) ac.ssd_channels = ctx_.ssd->config().channels;
     attributor->set_config(ac);
   }
+  return attributor;
+}
+
+EpochStats GnnDrive::run_epoch(std::uint64_t epoch) {
+  const Dataset& ds = *ctx_.dataset;
+  // Hotness policy: profile + prefetch + pin before the first batch (no-op
+  // for kLru or once the partition exists). Runs outside the epoch timer's
+  // steady state on purpose — it is a one-time startup cost.
+  ensure_hot_cache();
+  const std::vector<std::vector<NodeId>> batches = epoch_batches(epoch);
+  const std::size_t n_batches = batches.size();
+  const std::size_t start = enter_epoch(epoch, n_batches);
+  const bool training = !config_.common.sample_only;
+
+  // Observability (docs/observability.md): stage histograms are always-on
+  // relaxed atomics; spans are recorded only while tracing is enabled.
+  Telemetry* tel = ctx_.telemetry;
+  MetricsRegistry& reg = metrics_;
+  SpanTracer* tracer = tel != nullptr ? tel->tracer() : nullptr;
+  if (tracer != nullptr && !tracer->enabled()) tracer = nullptr;
+  const auto epoch32 = static_cast<std::uint32_t>(epoch);
+  BottleneckAttributor* attributor = configure_attributor();
   reg.gauge("pipeline.epoch").set(static_cast<std::int64_t>(epoch));
-  struct RunningGuard {
-    Gauge& g;
-    explicit RunningGuard(Gauge& gauge) : g(gauge) { g.add(1); }
-    ~RunningGuard() { g.sub(1); }
-  } running_guard{reg.gauge("pipeline.running")};
-  SamplerLease sampler_lease(tel != nullptr ? tel->sampler() : nullptr);
 
-  // Release-queue payload: the node list plus the batch id, so release spans
-  // line up with the rest of the batch's trace.
-  struct ReleaseItem {
-    std::uint64_t batch_id = 0;
-    std::vector<NodeId> nodes;
+  // The four stages and their queues (Sect. 4.1). While it runs, the group
+  // holds pipeline.running (/readyz) and leases the time-series sampler,
+  // which re-emits every gauge (queue depths, fb.standby, io.inflight) as a
+  // trace counter track while tracing. A batch that will never train gives
+  // its references back, so its slots return to standby.
+  StageGroup group({&reg.gauge("pipeline.running"),
+                    tel != nullptr ? tel->sampler() : nullptr, &reg, tracer,
+                    epoch32});
+  const auto release = [this](auto& item) {
+    feature_buffer_->release(item.nodes);
   };
-
-  BoundedQueue<SampledBatch> extract_q(config_.extract_queue_cap);
-  BoundedQueue<SampledBatch> train_q(config_.train_queue_cap);
-  BoundedQueue<ReleaseItem> release_q(16);
-
-  ConcurrentHistogram& h_sample = reg.histogram("stage.sample.us");
-  ConcurrentHistogram& h_extract = reg.histogram("stage.extract.us");
-  ConcurrentHistogram& h_train = reg.histogram("stage.train.us");
-  ConcurrentHistogram& h_release = reg.histogram("stage.release.us");
-  extract_q.bind_metrics(reg.gauge("pipeline.extract_q.depth"),
-                         reg.counter("pipeline.extract_q.push_blocked"),
-                         reg.counter("pipeline.extract_q.pop_blocked"));
-  train_q.bind_metrics(reg.gauge("pipeline.train_q.depth"),
-                       reg.counter("pipeline.train_q.push_blocked"),
-                       reg.counter("pipeline.train_q.pop_blocked"));
-  release_q.bind_metrics(reg.gauge("pipeline.release_q.depth"),
-                         reg.counter("pipeline.release_q.push_blocked"),
-                         reg.counter("pipeline.release_q.pop_blocked"));
-  const auto stage_done = [](ConcurrentHistogram& h, TimePoint b,
-                             TimePoint e) {
-    h.add_us(to_seconds(e - b) * 1e6);
-  };
-  const FeatureBufferStats fb_before = feature_buffer_->stats();
+  auto& extract_q = group.link<SampledBatch>("pipeline.extract_q",
+                                             config_.extract_queue_cap);
+  auto& train_q = group.link<SampledBatch>("pipeline.train_q",
+                                           config_.train_queue_cap, release);
+  auto& release_q = group.link<ReleaseItem>("pipeline.release_q", 16, release);
 
   std::atomic<std::size_t> next_batch{start};
-  std::atomic<std::uint64_t> sample_ns{0};
-  std::atomic<std::uint64_t> extract_ns{0};
   std::atomic<std::uint64_t> failed_batches{0};
   std::uint64_t trained_here = 0;  ///< written by the trainer thread only
-  Counter& failed_counter = reg.counter("fault.failed_batches");
-  // Each extractor's final counters, summed into the epoch report once the
-  // workers have joined.
   std::vector<ExtractCounters> extract_totals(num_extractors_);
-  std::mutex err_mu;
-  std::exception_ptr error;
-  const auto capture_error = [&] {
-    std::lock_guard lk(err_mu);
-    if (!error) error = std::current_exception();
-    extract_q.close();
-    train_q.close();
-    release_q.close();
-  };
-
   EpochStats stats;
   stats.batches = n_batches - start;
-  // The registry snapshots bounding the epoch, outside its timer: EpochObs'
-  // stage rows and the attribution report are both their diff.
-  const MetricsRegistry::Snapshot begin = reg.snapshot();
-  const TimePoint t0 = Clock::now();
 
-  std::vector<std::thread> samplers;
-  for (std::uint32_t s = 0; s < config_.num_samplers; ++s) {
-    samplers.emplace_back([&] {
-      try {
+  Stage& sample = group.stage(kSpanSample, config_.num_samplers,
+      [&](Stage& self, std::uint32_t) {
         MmapTopology topo(ds, *ctx_.page_cache);
-        for (;;) {
-          // Graceful drain: a stop request stops claiming new batches; the
-          // already-claimed ones finish through the pipeline normally.
-          if (stop_requested_.load(std::memory_order_relaxed)) break;
+        // Graceful drain: a stop request stops claiming new batches; the
+        // already-claimed ones finish through the pipeline normally.
+        while (!stop_requested_.load(std::memory_order_relaxed)) {
           const std::size_t b = next_batch.fetch_add(1);
           if (b >= n_batches) break;
-          const TimePoint ts = Clock::now();
-          SampledBatch batch;
-          {
+          const std::uint64_t id = ((epoch + 1) << 24) | b;
+          SampledBatch batch = self.time(id, [&] {
             BusyScope busy(ctx_.telemetry);
-            batch = sampler_.sample(((epoch + 1) << 24) | b, batches[b], topo,
-                                    &ds.labels());
-          }
-          const TimePoint te = Clock::now();
-          sample_ns.fetch_add(elapsed_ns(ts, te));
-          stage_done(h_sample, ts, te);
-          if (tracing) {
-            tracer->record(kSpanSample, batch.batch_id, epoch32, ts, te);
-          }
+            return sampler_.sample(id, batches[b], topo, &ds.labels());
+          });
           if (!extract_q.push(std::move(batch))) break;
         }
-      } catch (...) {
-        capture_error();
-      }
-    });
-  }
+      },
+      {&extract_q});
 
-  std::vector<std::thread> workers;
-  if (config_.common.sample_only) {
-    // Fig. 2 "-only" mode: sampled batches are discarded.
-    workers.emplace_back([&] {
-      while (extract_q.pop().has_value()) {
-      }
-    });
-  } else {
-    for (std::uint32_t e = 0; e < num_extractors_; ++e) {
-      workers.emplace_back([&, e] {
-        ExtractorState state;
-        state.backoff_rng =
-            Rng(splitmix64(config_.common.run_seed ^ (epoch << 8) ^ e));
-        try {
-          IoRingConfig rc;
-          rc.queue_depth = config_.ring_depth;
-          // Direct I/O bypasses the OS page cache (Sect. 4.2); buffered
-          // mode exists as an ablation (see GnnDriveConfig::direct_io).
-          rc.direct = config_.direct_io;
-          // A request longer than any planned segment would overrun its
-          // staging bytes; the ring rejects such a planner bug with -EINVAL.
-          rc.max_transfer_bytes = max_segment_bytes_;
-          state.ring = std::make_unique<IoRing>(
-              *ctx_.ssd, rc, config_.direct_io ? nullptr : ctx_.page_cache,
-              ctx_.telemetry);
-          state.hooks = extract_metric_hooks(tel);
-          state.staging_base = staging_.data() + e * arena_bytes_;
-          for (;;) {
-            const TimePoint qb = tracing ? Clock::now() : TimePoint{};
-            auto batch = extract_q.pop();
-            if (!batch) break;
-            if (tracing) {
-              tracer->record(kSpanQueueWait, batch->batch_id, epoch32, qb,
-                             Clock::now());
-            }
-            const TimePoint ts = Clock::now();
-            const std::uint64_t span_base = tracing ? tracer->now_ns() : 0;
-            state.trace = ExtractTrace{tracing};
-            const bool ok = extract_batch(*batch, state);
-            const TimePoint te = Clock::now();
-            extract_ns.fetch_add(elapsed_ns(ts, te));
-            stage_done(h_extract, ts, te);
-            if (tracing) {
-              tracer->record(kSpanExtract, batch->batch_id, epoch32, ts, te);
-              // The real loop interleaves submit / SSD wait / transfer wait;
-              // the accumulated durations are emitted back-to-back so the
-              // extract row shows where the time went.
-              const ExtractTrace& tr = state.trace;
-              std::uint64_t cur = span_base;
-              if (tr.submit_ns > 0) {
-                tracer->record_rel(kSpanRingSubmit, batch->batch_id, epoch32,
-                                   cur, tr.submit_ns);
-                cur += tr.submit_ns;
-              }
-              if (tr.ssd_wait_ns > 0) {
-                tracer->record_rel(kSpanSsdWait, batch->batch_id, epoch32, cur,
-                                   tr.ssd_wait_ns);
-                cur += tr.ssd_wait_ns;
-              }
-              if (tr.copy_wait_ns > 0) {
-                tracer->record_rel(kSpanCopyWait, batch->batch_id, epoch32,
-                                   cur, tr.copy_wait_ns);
-              }
-            }
-            if (ok) {
-              if (!train_q.push(std::move(*batch))) break;
-            } else {
-              // Graceful degradation: the batch never trains, but its
-              // references must still drain so slots return to standby.
-              failed_batches.fetch_add(1);
-              failed_counter.add();
-              log_structured(LogLevel::kWarn, "batch_failed",
-                             {kv("batch", batch->batch_id), kv("epoch", epoch),
-                              kv("io_errors", state.counters.io_errors),
-                              kv("io_retries", state.counters.io_retries)});
-              if (auto item = release_q.push_or_reclaim(ReleaseItem{
-                      batch->batch_id, std::move(batch->nodes)})) {
-                // Epoch is aborting and the releaser is gone: release inline
-                // so no extractor starves waiting for slots.
-                feature_buffer_->release(item->nodes);
-              }
-              if (config_.fault.fail_fast) {
-                throw std::runtime_error(
-                    "GNNDrive: batch extraction failed (fail_fast)");
-              }
-            }
+  Stage& extract = group.stage(kSpanExtract, training ? num_extractors_ : 1,
+      [&](Stage& self, std::uint32_t e) {
+        // Fig. 2 "-only" mode: sampled batches are discarded.
+        if (!training) return extract_q.each([](SampledBatch&) {});
+        ExtractorState state(*this, epoch, e);
+        extract_q.each([&](SampledBatch& batch) {
+          const std::uint64_t span_base = tracer ? tracer->now_ns() : 0;
+          state.trace = ExtractTrace{tracer != nullptr};
+          const bool ok =
+              self.time(batch.batch_id, [&] { return state.extract(batch); });
+          record_extract_phases(tracer, batch.batch_id, epoch32, span_base,
+                                state.trace);
+          if (ok) {
+            train_q.push(std::move(batch));
+            return;
           }
-        } catch (...) {
-          capture_error();
-        }
+          // Graceful degradation: the batch never trains, but its references
+          // drain — before fail_fast may throw, since disposing an extract
+          // queue item releases nothing — so slots return to standby.
+          failed_batches.fetch_add(1);
+          release_q.push(ReleaseItem{batch.batch_id, std::move(batch.nodes)});
+          state.report_failure(batch.batch_id);
+        });
         extract_totals[e] = state.counters;
-      });
-    }
-    // Trainer.
-    workers.emplace_back([&] {
-      std::uint32_t since_ckpt = 0;
-      try {
-        for (;;) {
-          const TimePoint qb = tracing ? Clock::now() : TimePoint{};
-          auto batch = train_q.pop();
-          if (!batch) break;
-          if (tracing) {
-            tracer->record(kSpanQueueWait, batch->batch_id, epoch32, qb,
-                           Clock::now());
-          }
-          const TimePoint ts = Clock::now();
-          const double loss = train_batch(*batch, stats);
-          const TimePoint te = Clock::now();
-          stats.train_seconds += to_seconds(te - ts);
-          stage_done(h_train, ts, te);
-          if (tracing) {
-            tracer->record(kSpanTrain, batch->batch_id, epoch32, ts, te);
-          }
-          // Advance the checkpoint cursor: with one sampler and one
-          // extractor batches train strictly in order, so "count trained"
-          // equals "index of the next untrained batch" and resume is
-          // bit-exact; multi-worker runs reorder and resume approximately
-          // (docs/recovery.md).
-          ++trained_here;
-          ++total_trained_;
-          cursor_.store(start + trained_here);
-          train_rng_();
+      },
+      {&train_q, &release_q});
+
+  Stage& train = group.stage(kSpanTrain, training ? 1 : 0,
+      [&](Stage& self, std::uint32_t) {
+        std::uint32_t since_ckpt = 0;
+        train_q.each([&](SampledBatch& batch) {
+          const double loss = self.time(
+              batch.batch_id, [&] { return train_batch(batch, stats); });
           if (config_.record_batch_losses) stats.batch_losses.push_back(loss);
-          if (auto item = release_q.push_or_reclaim(
-                  ReleaseItem{batch->batch_id, std::move(batch->nodes)})) {
-            feature_buffer_->release(item->nodes);  // epoch aborting; see above
-          }
-          if (ckpt_on && config_.ckpt.interval_batches > 0 &&
-              ++since_ckpt >= config_.ckpt.interval_batches) {
-            since_ckpt = 0;
-            // A CrashInjected here propagates through capture_error like a
-            // process death: queues close, the epoch aborts, and recovery
-            // must cope with whatever the protocol left on disk.
-            write_checkpoint(epoch, start + trained_here);
-          }
-        }
-        release_q.close();
-      } catch (...) {
-        capture_error();
-      }
-    });
-    // Releaser.
-    workers.emplace_back([&] {
-      try {
-        while (auto item = release_q.pop()) {
-          const TimePoint ts = Clock::now();
-          feature_buffer_->release(item->nodes);
-          const TimePoint te = Clock::now();
-          stage_done(h_release, ts, te);
-          if (tracing) {
-            tracer->record(kSpanRelease, item->batch_id, epoch32, ts, te);
-          }
-        }
-      } catch (...) {
-        capture_error();
-      }
-    });
-  }
+          release_q.push(ReleaseItem{batch.batch_id, std::move(batch.nodes)});
+          // A CrashInjected in a periodic checkpoint aborts the group like a
+          // process death; recovery copes with what the protocol left.
+          note_trained(epoch, start + ++trained_here, since_ckpt);
+        });
+      },
+      {&release_q});
 
-  // The queue-depth / standby / in-flight counter tracks that used to come
-  // from a dedicated 5 ms monitor thread here now come from the leased
-  // TimeSeriesSampler: every tick re-emits each registry gauge
-  // (pipeline.*.depth, fb.standby, io.inflight, ...) as a trace counter
-  // track while tracing is enabled.
+  group.stage(kSpanRelease, training ? 1 : 0,
+      [&](Stage& self, std::uint32_t) {
+        release_q.each([&](ReleaseItem& item) {
+          self.time(item.batch_id,
+                    [&] { feature_buffer_->release(item.nodes); });
+        });
+      });
 
-  for (auto& t : samplers) t.join();
-  extract_q.close();
-  // The extractors drain the queue, then the trainer, then the releaser.
-  if (!config_.common.sample_only) {
-    for (std::size_t i = 0; i + 2 < workers.size(); ++i) workers[i].join();
-    train_q.close();
-    workers[workers.size() - 2].join();  // trainer (closes release_q)
-    workers.back().join();               // releaser
-  } else {
-    workers[0].join();
-  }
+  // The registry snapshots bounding the epoch, outside its timer: EpochObs'
+  // stage rows and the attribution report are both their diff.
+  const FeatureBufferStats fb_before = feature_buffer_->stats();
+  const MetricsRegistry::Snapshot begin = reg.snapshot();
+  const TimePoint t0 = Clock::now();
+  group.run();
   if (gpu_ != nullptr) gpu_->sync();
-
-  {
-    std::lock_guard lk(err_mu);
-    if (error) std::rethrow_exception(error);
-  }
-
-  // Epoch boundary: roll the cursor into the next epoch, or — when a stop
-  // request drained the epoch early — leave it pointing at the first
-  // untrained batch of this one, then take the boundary checkpoint.
-  stats.interrupted = stop_requested_.load();
-  if (!stats.interrupted) {
-    cur_epoch_ = epoch + 1;
-    cursor_.store(0);
-  }
-  if (ckpt_on && !config_.common.sample_only) {
-    write_checkpoint(cur_epoch_, cursor_.load());
-  }
+  stats.interrupted = leave_epoch(epoch);
 
   stats.epoch_seconds = to_seconds(Clock::now() - t0);
   const MetricsRegistry::Snapshot end = reg.snapshot();
-  stats.sample_seconds = static_cast<double>(sample_ns.load()) / 1e9;
-  stats.extract_seconds = static_cast<double>(extract_ns.load()) / 1e9;
+  stats.sample_seconds = sample.seconds();
+  stats.extract_seconds = extract.seconds();
+  stats.train_seconds = train.seconds();
   stats.result.failed_batches = failed_batches.load();
   stats.result.trained_batches = trained_here;
-  for (const ExtractCounters& c : extract_totals) {
-    stats.result.io_errors += c.io_errors;
-    stats.result.io_retries += c.io_retries;
-    stats.result.io_recovered += c.io_recovered;
-    stats.result.io_timeouts += c.io_timeouts;
-    stats.obs.io_segments += c.segments;
-    stats.obs.io_rows += c.rows_loaded;
-  }
-  const auto stage = [&](const char* name) {
-    return StageLatency::of(
-        end.histogram(name).diff_since(begin.histogram(name)));
-  };
-  stats.obs.sample = stage("stage.sample.us");
-  stats.obs.extract = stage("stage.extract.us");
-  stats.obs.train = stage("stage.train.us");
-  stats.obs.release = stage("stage.release.us");
+  summarize_epoch(stats, extract_totals, begin, end, fb_before,
+                  feature_buffer_->stats());
   stats.obs.extract_q_max = extract_q.max_size();
   stats.obs.train_q_max = train_q.max_size();
   stats.obs.release_q_max = release_q.max_size();
-  const FeatureBufferStats fb_after = feature_buffer_->stats();
-  stats.obs.fb_hot_hits = fb_after.hot_hits - fb_before.hot_hits;
-  stats.obs.fb_reuse_hits = fb_after.reuse_hits - fb_before.reuse_hits;
-  stats.obs.fb_wait_hits = fb_after.wait_hits - fb_before.wait_hits;
-  stats.obs.fb_loads = fb_after.loads - fb_before.loads;
-  // Mean loss/accuracy over the batches that actually trained (identical to
-  // dividing by n_batches on a clean epoch).
-  const std::uint64_t denom =
-      config_.common.sample_only ? n_batches : trained_here;
+  // Means over the batches that trained (all of them on a clean epoch).
+  const std::uint64_t denom = training ? trained_here : n_batches;
   if (denom > 0) {
     stats.loss /= static_cast<double>(denom);
     stats.train_accuracy /= static_cast<double>(denom);
   }
-
-  // Epoch-scoped bottleneck report: diagnose the epoch just run from its
-  // bounding registry snapshots and publish it (structured "attribution"
-  // event + the /attribution endpoint's latest report).
+  // The epoch's bottleneck report: an "attribution" event + /attribution.
   if (attributor != nullptr) {
     attributor->publish(attributor->attribute(
-        begin, end, stats.epoch_seconds,
-        "epoch " + std::to_string(epoch)));
+        begin, end, stats.epoch_seconds, "epoch " + std::to_string(epoch)));
   }
   return stats;
+}
+
+std::size_t GnnDrive::enter_epoch(std::uint64_t epoch,
+                                  std::size_t n_batches) {
+  // The first run_epoch after resume() starts mid-epoch at the checkpointed
+  // batch; the shuffle is deterministic per (run_seed, epoch), so the
+  // batches from there on are exactly the ones the interrupted run never
+  // trained.
+  const std::size_t start =
+      has_resume_ && epoch == resume_epoch_
+          ? std::min<std::size_t>(resume_cursor_, n_batches)
+          : 0;
+  has_resume_ = false;
+  cur_epoch_ = epoch;
+  cursor_.store(start);
+  return start;
+}
+
+void GnnDrive::note_trained(std::uint64_t epoch, std::uint64_t next_batch,
+                            std::uint32_t& since_ckpt) {
+  // With one sampler and one extractor batches train strictly in order, so
+  // "count trained" equals "index of the next untrained batch" and resume
+  // is bit-exact; multi-worker runs reorder and resume approximately
+  // (docs/recovery.md).
+  ++total_trained_;
+  cursor_.store(next_batch);
+  train_rng_();
+  if (ckpt_mgr_ != nullptr && config_.ckpt.interval_batches > 0 &&
+      ++since_ckpt >= config_.ckpt.interval_batches) {
+    since_ckpt = 0;
+    write_checkpoint(epoch, next_batch);
+  }
+}
+
+bool GnnDrive::leave_epoch(std::uint64_t epoch) {
+  // Roll the cursor into the next epoch, or — when a stop request drained
+  // the epoch early — leave it at the first untrained batch of this one,
+  // then take the boundary checkpoint.
+  const bool interrupted = stop_requested_.load();
+  if (!interrupted) {
+    cur_epoch_ = epoch + 1;
+    cursor_.store(0);
+  }
+  if (ckpt_mgr_ != nullptr && !config_.common.sample_only) {
+    write_checkpoint(cur_epoch_, cursor_.load());
+  }
+  return interrupted;
 }
 
 double GnnDrive::evaluate() {

@@ -43,7 +43,6 @@
 #include "core/feature_buffer.hpp"
 #include "core/system.hpp"
 #include "gpu/gpu.hpp"
-#include "util/queue.hpp"
 
 namespace gnndrive {
 
@@ -216,11 +215,20 @@ class GnnDrive final : public TrainSystem {
 
  private:
   struct ExtractorState;
-  /// Returns true on success; false when the batch was abandoned after
-  /// exhausting retries (its refs must still be released by the caller).
-  bool extract_batch(SampledBatch& batch, ExtractorState& state);
+  /// This epoch's mini-batches: the replica's segment of the training set,
+  /// shuffled per (run_seed, epoch).
+  std::vector<std::vector<NodeId>> epoch_batches(std::uint64_t epoch) const;
+  /// Tells the telemetry's attributor this pipeline's shape; null without
+  /// telemetry.
+  BottleneckAttributor* configure_attributor();
   /// Returns this batch's training loss (also accumulated into stats).
   double train_batch(SampledBatch& batch, EpochStats& stats);
+  /// The checkpoint cursor across an epoch: its first batch to train, each
+  /// trained batch (with the periodic checkpoint), and the boundary.
+  std::size_t enter_epoch(std::uint64_t epoch, std::size_t n_batches);
+  void note_trained(std::uint64_t epoch, std::uint64_t next_batch,
+                    std::uint32_t& since_ckpt);
+  bool leave_epoch(std::uint64_t epoch);
   /// Serializes the current training state as (epoch, next_batch). Called
   /// from the trainer thread (periodic) or between epochs (boundary /
   /// explicit); never from both at once.

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 #include "obs/attribution.hpp"
 #include "obs/slo.hpp"
@@ -82,7 +81,9 @@ struct ServeEngine::ModelSet {
 struct ServeEngine::WorkerState {
   std::unique_ptr<MmapTopology> topo;
   std::unique_ptr<IoRing> ring;
-  std::uint8_t* staging_base = nullptr;  ///< this worker's staging arena
+  /// This worker's ring and staging arena, and the serving retry policy.
+  ExtractEnv env;
+  ExtractPolicy policy;
   /// Replica set pinned for the current micro-batch (drain-and-swap: held
   /// until the batch finishes, so a concurrent publish never frees a model
   /// under an in-flight forward pass).
@@ -158,7 +159,7 @@ ServeEngine::ServeEngine(const RunContext& ctx, const ServeConfig& config,
   m_hot_swaps_ = &reg.counter("serve.hot_swaps");
   m_model_gen_ = &reg.gauge("serve.model_generation");
   m_pinned_ = &reg.gauge("serve.pinned");
-  m_running_ = &reg.gauge("serve.running");
+  reg.gauge("serve.running");  // listed before start(); the workers hold it
   rm_latency_ = &reg.histogram("serve.latency.us");
   rm_queue_wait_ = &reg.histogram("serve.queue_wait.us");
   rm_extract_ = &reg.histogram("serve.extract.us");
@@ -201,39 +202,18 @@ ServeEngine::ServeEngine(const RunContext& ctx, ServeConfig config,
                       static_cast<std::uint64_t>(host.effective_extractors()) *
                           host.max_batch_nodes()}) {}
 
-ServeEngine::~ServeEngine() {
-  // Join without rethrowing: destructors must not throw. stop() is the
-  // polite path that surfaces worker errors.
-  if (running_) {
-    queue_.close();
-    for (auto& t : workers_) t.join();
-    workers_.clear();
-    running_ = false;
-    m_running_->sub(1);
-    if (ctx_.telemetry != nullptr) ctx_.telemetry->sampler()->release();
-  }
-}
-
 void ServeEngine::start() {
-  GD_CHECK_MSG(!running_, "ServeEngine::start called twice");
-  running_ = true;
-  // Liveness + telemetry lease: /readyz keys off serve.running, and the
-  // time-series sampler runs for as long as the engine accepts requests.
-  m_running_->add(1);
-  if (ctx_.telemetry != nullptr) ctx_.telemetry->sampler()->retain();
-  for (std::uint32_t w = 0; w < config_.workers; ++w) {
-    workers_.emplace_back([this, w] {
-      try {
-        worker_loop(w);
-      } catch (...) {
-        {
-          std::lock_guard lk(err_mu_);
-          if (!error_) error_ = std::current_exception();
-        }
-        queue_.close();  // fail fast: stop admitting, wake siblings
-      }
-    });
-  }
+  GD_CHECK_MSG(workers_ == nullptr, "ServeEngine::start called twice");
+  // While the workers run, the group holds serve.running (/readyz) and a
+  // time-series sampler lease. A worker that throws closes admission.
+  workers_ = std::make_unique<StageGroup>(StageGroupOptions{
+      &metrics_.gauge("serve.running"),
+      ctx_.telemetry != nullptr ? ctx_.telemetry->sampler() : nullptr});
+  workers_->feed_from([this] { queue_.close(); });
+  workers_->stage("serve", config_.workers, [this](Stage&, std::uint32_t w) {
+    worker_loop(w);
+  });
+  workers_->start();
 }
 
 std::future<InferResult> ServeEngine::submit(NodeId node) {
@@ -241,19 +221,8 @@ std::future<InferResult> ServeEngine::submit(NodeId node) {
 }
 
 void ServeEngine::stop() {
-  if (!running_) return;
-  queue_.close();
-  for (auto& t : workers_) t.join();
-  workers_.clear();
-  running_ = false;
-  m_running_->sub(1);
-  if (ctx_.telemetry != nullptr) ctx_.telemetry->sampler()->release();
-  std::lock_guard lk(err_mu_);
-  if (error_) {
-    std::exception_ptr e = error_;
-    error_ = nullptr;
-    std::rethrow_exception(e);
-  }
+  // The group goes either way; a worker's error surfaces from its stop().
+  if (const auto workers = std::move(workers_)) workers->stop();
 }
 
 std::shared_ptr<const ServeEngine::ModelSet> ServeEngine::current_models()
@@ -359,8 +328,28 @@ void ServeEngine::worker_loop(std::uint32_t worker_id) {
   // A request waits on these reads: they start ahead of queued extraction.
   rc.io_class = IoClass::kLatency;
   ws.ring = std::make_unique<IoRing>(*ctx_.ssd, rc, nullptr, ctx_.telemetry);
-  ws.staging_base = staging_.data() + worker_id * arena_bytes_;
   ws.hooks = extract_metric_hooks(ctx_.telemetry);
+  // The shared coalescing core (core/extract.cpp), as in training, under a
+  // serving retry policy: a flat short delay instead of exponential backoff
+  // (a serve batch would rather fail fast than sit out a long backoff). The
+  // pin budget guarantees the serve share of the standby list covers a
+  // batch's slot allocations, and training's reserve covers its own
+  // extractors — neither side can deadlock the other.
+  const OnDiskLayout& lay = ctx_.dataset->layout();
+  ws.env = ExtractEnv{sub_.feature_buffer, &lay,
+                      static_cast<std::uint32_t>(lay.feature_row_bytes),
+                      ws.ring.get(), staging_.data() + worker_id * arena_bytes_,
+                      max_segment_bytes_, inflight_cap_, sub_.gpu,
+                      ctx_.telemetry};
+  ws.policy.coalesce = config_.coalesce;
+  ws.policy.max_retries = config_.max_retries;
+  set_timeouts(ws.policy, config_.request_timeout_ms,
+               config_.wait_list_timeout_ms);
+  ws.policy.backoff = [delay = from_us(std::max(config_.retry_delay_us, 0.0))](
+                          std::uint32_t) { return delay; };
+  ws.policy.log_epoch = false;  // serve batches carry no epoch
+  ws.policy.fail_event = "serve_extract_failed";
+  ws.policy.client = FbClient::kServe;
   for (;;) {
     auto batch = coalescer_.collect();
     if (batch.empty()) return;  // queue closed & drained
@@ -444,8 +433,13 @@ void ServeEngine::process_batch(std::vector<PendingRequest>&& batch,
   } else {
     acquire_pins(need);
     const TimePoint te = Clock::now();
-    const bool extracted = extract_batch(sb, ws);
+    ExtractCounters ec;
+    ws.policy.batch_id = batch_id;
+    const bool extracted =
+        extract_batch(sb, ws.env, ws.policy, ws.hooks, ec, nullptr);
     rm_extract_->add_us(to_seconds(Clock::now() - te) * 1e6);
+    if (ec.io_errors > 0) m_io_errors_->add(ec.io_errors);
+    if (ec.io_retries > 0) m_io_retries_->add(ec.io_retries);
     if (tracing) {
       tracer->record(kSpanServeExtract, batch_id, 0, te, Clock::now());
     }
@@ -493,65 +487,6 @@ void ServeEngine::process_batch(std::vector<PendingRequest>&& batch,
     finish(active[i], served ? InferStatus::kOk : InferStatus::kFailed,
            pred[i], coalesced, done);
   }
-}
-
-bool ServeEngine::extract_batch(SampledBatch& batch, WorkerState& ws) {
-  // Runs the shared coalescing core (core/extract.cpp) — the same planner,
-  // submit/reap loop and fault protocol as GnnDrive::extract_batch — under
-  // a serving-oriented retry policy: flat short delay instead of
-  // exponential backoff (a serve batch would rather fail fast than sit out
-  // a long backoff), and there is no GDS/buffered-I/O variant.
-  FeatureBuffer& fb = *sub_.feature_buffer;
-  const OnDiskLayout& lay = ctx_.dataset->layout();
-  const auto row_bytes = static_cast<std::uint32_t>(lay.feature_row_bytes);
-  const Duration req_timeout = from_us(config_.request_timeout_ms * 1e3);
-  const Duration poll =
-      std::max(from_us(config_.request_timeout_ms * 1e3 / 4), from_us(500.0));
-  const Duration wait_list_timeout = from_us(config_.wait_list_timeout_ms * 1e3);
-  const Duration retry_delay = from_us(std::max(config_.retry_delay_us, 0.0));
-
-  std::vector<std::uint32_t> wait_idx;
-  std::vector<std::uint32_t> load_idx;
-  {
-    BusyScope busy(ctx_.telemetry);
-    triage_batch(fb, batch, wait_idx, load_idx, FbClient::kServe);
-  }
-
-  // The pin budget guarantees the serve share of the standby list can cover
-  // this batch's slot allocations, and training's reserve covers its own
-  // extractors — neither side can deadlock the other.
-  ExtractEnv env;
-  env.fb = &fb;
-  env.layout = &lay;
-  env.row_bytes = row_bytes;
-  env.ring = ws.ring.get();
-  env.staging_base = ws.staging_base;
-  env.staging_row_bytes = max_segment_bytes_;
-  env.staging_rows = inflight_cap_;
-  env.gpu = sub_.gpu;
-  env.telemetry = ctx_.telemetry;
-
-  ExtractPolicy policy;
-  policy.coalesce = config_.coalesce;
-  policy.max_retries = config_.max_retries;
-  policy.request_timeout = req_timeout;
-  policy.poll = poll;
-  policy.backoff = [retry_delay](std::uint32_t) { return retry_delay; };
-  policy.batch_id = batch.batch_id;
-  policy.log_epoch = false;  // serve batches carry no epoch
-  policy.fail_event = "serve_extract_failed";
-
-  ExtractCounters ec;
-  bool ok = extract_load_set(batch, load_idx, env, policy, ws.hooks, ec,
-                             nullptr);
-  if (ec.io_errors > 0) m_io_errors_->add(ec.io_errors);
-  if (ec.io_retries > 0) m_io_retries_->add(ec.io_retries);
-
-  // Wait-list resolution: nodes a training extractor (or a sibling serve
-  // worker) is loading. The loader always resolves them; the timeout only
-  // fires if that thread died, and the serve batch fails instead of hanging.
-  if (ok) ok = resolve_wait_list(fb, batch, wait_idx, wait_list_timeout);
-  return ok;
 }
 
 ServeReport ServeEngine::report() const {

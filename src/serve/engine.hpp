@@ -38,13 +38,12 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <exception>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "core/pipeline.hpp"
+#include "core/stage.hpp"
 #include "obs/metrics.hpp"
 #include "serve/coalescer.hpp"
 #include "serve/request_queue.hpp"
@@ -76,7 +75,6 @@ class ServeEngine : NonCopyable {
   /// reserve. An empty config.sampler.fanouts defaults to the training
   /// fanouts (the fanout depth must match the model's layer count).
   ServeEngine(const RunContext& ctx, ServeConfig config, GnnDrive& host);
-  ~ServeEngine();
 
   void start();
   /// Admission-controlled submit; never blocks. Valid before start() (the
@@ -85,7 +83,7 @@ class ServeEngine : NonCopyable {
   /// Closes admission, serves out the backlog, joins the workers. Rethrows
   /// the first worker exception, if any.
   void stop();
-  bool running() const { return running_; }
+  bool running() const { return workers_ != nullptr; }
 
   /// Publishes a fresh replica set copied from the substrate's source model
   /// (e.g. after further training epochs). Safe concurrent with in-flight
@@ -126,9 +124,6 @@ class ServeEngine : NonCopyable {
   void publish_models(std::shared_ptr<const ModelSet> set);
   void worker_loop(std::uint32_t worker_id);
   void process_batch(std::vector<PendingRequest>&& batch, WorkerState& ws);
-  /// Algorithm-1 extraction for a serve micro-batch; returns false when the
-  /// batch failed permanently (references still held — caller releases).
-  bool extract_batch(SampledBatch& batch, WorkerState& ws);
   void acquire_pins(std::uint64_t n);
   void release_pins(std::uint64_t n);
   void finish(PendingRequest& r, InferStatus status, std::int32_t cls,
@@ -159,12 +154,7 @@ class ServeEngine : NonCopyable {
 
   mutable std::mutex models_mu_;
   std::shared_ptr<const ModelSet> models_;
-  std::vector<std::thread> workers_;
   std::atomic<std::uint64_t> next_batch_seq_{0};
-  bool running_ = false;
-
-  std::mutex err_mu_;
-  std::exception_ptr error_;
 
   // serve.* instruments, resolved once from metrics_ (the request queue
   // counts serve.submitted / serve.rejected). report() diffs them against
@@ -178,7 +168,6 @@ class ServeEngine : NonCopyable {
   Counter* m_hot_swaps_;              ///< serve.hot_swaps
   Gauge* m_model_gen_;                ///< serve.model_generation
   Gauge* m_pinned_;                   ///< serve.pinned (nodes pinned)
-  Gauge* m_running_;                  ///< serve.running (/readyz liveness)
   ConcurrentHistogram* rm_latency_;     ///< serve.latency.us
   ConcurrentHistogram* rm_queue_wait_;  ///< serve.queue_wait.us
   ConcurrentHistogram* rm_extract_;     ///< serve.extract.us
@@ -186,6 +175,10 @@ class ServeEngine : NonCopyable {
   ConcurrentHistogram* rm_batch_size_;  ///< serve.batch.size
   MetricsRegistry::Snapshot base_;
   FeatureBufferStats fb_base_;  ///< the serve client's triage counts
+
+  /// The serve workers between start() and stop(). Declared last: its
+  /// destructor stops and joins workers that use every member above.
+  std::unique_ptr<StageGroup> workers_;
 };
 
 }  // namespace gnndrive

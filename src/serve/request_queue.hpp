@@ -53,7 +53,6 @@ class RequestQueue : NonCopyable {
   /// then return nullopt.
   void close() { q_.close(); }
 
-  std::size_t depth() const { return q_.size(); }
   std::size_t max_depth() const { return q_.max_size(); }
 
  private:

@@ -39,16 +39,7 @@ class BoundedQueue : NonCopyable {
   }
 
   /// Blocks until space is available. Returns false if the queue was closed.
-  bool push(T item) {
-    std::unique_lock lock(mu_);
-    if (items_.size() >= capacity_ && !closed_) push_blocked_->add();
-    not_full_.wait(lock, [&] { return items_.size() < capacity_ || closed_; });
-    if (closed_) return false;
-    items_.push_back(std::move(item));
-    note_depth_locked();
-    not_empty_.notify_one();
-    return true;
-  }
+  bool push(T item) { return !push_or_reclaim(std::move(item)).has_value(); }
 
   /// Like push(), but hands the item back instead of dropping it when the
   /// queue is closed, so the caller can dispose of it (e.g. release feature
@@ -58,9 +49,7 @@ class BoundedQueue : NonCopyable {
     if (items_.size() >= capacity_ && !closed_) push_blocked_->add();
     not_full_.wait(lock, [&] { return items_.size() < capacity_ || closed_; });
     if (closed_) return std::optional<T>(std::move(item));
-    items_.push_back(std::move(item));
-    note_depth_locked();
-    not_empty_.notify_one();
+    put_locked(std::move(item));
     return std::nullopt;
   }
 
@@ -69,23 +58,7 @@ class BoundedQueue : NonCopyable {
     std::unique_lock lock(mu_);
     if (items_.empty() && !closed_) pop_blocked_->add();
     not_empty_.wait(lock, [&] { return !items_.empty() || closed_; });
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    note_depth_locked();
-    not_full_.notify_one();
-    return item;
-  }
-
-  /// Non-blocking pop; empty optional when nothing is ready.
-  std::optional<T> try_pop() {
-    std::lock_guard lock(mu_);
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    note_depth_locked();
-    not_full_.notify_one();
-    return item;
+    return take_locked();
   }
 
   /// Non-blocking push: false when the queue is full or closed (the item is
@@ -95,9 +68,7 @@ class BoundedQueue : NonCopyable {
   bool try_push(T& item) {
     std::lock_guard lock(mu_);
     if (closed_ || items_.size() >= capacity_) return false;
-    items_.push_back(std::move(item));
-    note_depth_locked();
-    not_empty_.notify_one();
+    put_locked(std::move(item));
     return true;
   }
 
@@ -106,19 +77,13 @@ class BoundedQueue : NonCopyable {
   /// arrives within the window) is always returned in preference to the
   /// timeout — a wakeup racing the deadline re-checks the queue under the
   /// lock before giving up. Empty optional means timeout, or closed and
-  /// drained; distinguish via closed() if needed. Used by the micro-batch
-  /// coalescer's max-wait window and usable by watchdog polls.
+  /// drained. Used by the micro-batch coalescer's max-wait window.
   std::optional<T> try_pop_for(Duration timeout) {
     std::unique_lock lock(mu_);
     if (items_.empty() && !closed_) pop_blocked_->add();
     not_empty_.wait_for(lock, timeout,
                         [&] { return !items_.empty() || closed_; });
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    note_depth_locked();
-    not_full_.notify_one();
-    return item;
+    return take_locked();
   }
 
   /// Wakes all blocked producers/consumers; subsequent pushes fail and pops
@@ -130,38 +95,27 @@ class BoundedQueue : NonCopyable {
     not_full_.notify_all();
   }
 
-  /// Re-arms a closed queue for reuse (e.g. the next training epoch).
-  /// Concurrency: a push/pop racing with a close()/reopen() pair either
-  /// observes the closed window (push returns false / pop drains to nullopt)
-  /// or completes normally — items are never lost or duplicated either way.
-  /// Waiters are re-notified so anyone who slept through the window
-  /// re-evaluates against the reopened state instead of blocking forever.
-  void reopen() {
-    {
-      std::lock_guard lock(mu_);
-      closed_ = false;
-    }
-    not_empty_.notify_all();
-    not_full_.notify_all();
-  }
-
-  std::size_t size() const {
-    std::lock_guard lock(mu_);
-    return items_.size();
-  }
   /// Deepest the queue has ever been (for end-of-epoch reports; queues are
   /// created per epoch, so no reset is needed).
   std::size_t max_size() const {
     std::lock_guard lock(mu_);
     return max_size_;
   }
-  std::size_t capacity() const { return capacity_; }
-  bool closed() const {
-    std::lock_guard lock(mu_);
-    return closed_;
-  }
 
  private:
+  void put_locked(T&& item) {
+    items_.push_back(std::move(item));
+    note_depth_locked();
+    not_empty_.notify_one();
+  }
+  std::optional<T> take_locked() {
+    if (items_.empty()) return std::nullopt;
+    T item = std::move(items_.front());
+    items_.pop_front();
+    note_depth_locked();
+    not_full_.notify_one();
+    return item;
+  }
   void note_depth_locked() {
     max_size_ = std::max(max_size_, items_.size());
     depth_->set(static_cast<std::int64_t>(items_.size()));

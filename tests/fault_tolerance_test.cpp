@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <filesystem>
 #include <future>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -313,6 +315,108 @@ TEST_F(FaultSoak, FailFastAbortsTheEpoch) {
   cfg.fault.backoff_initial_us = 10.0;
   GnnDrive system(env.ctx, cfg);
   EXPECT_THROW(system.run_epoch(0), std::runtime_error);
+}
+
+
+// Abort paths of every stage, on the instance that threw: the train
+// pipeline aborted from its sampler, extractor and trainer, and a serve
+// worker. The paper-default pipeline (4 samplers, 4 extractors, queues 6/4)
+// fills its queues, so a dead stage leaves batches behind for the stage
+// runner to dispose. Not a soak: these run in the fast label.
+struct StageAbort : FaultSoak {
+  static void set_bad_range(Env& env, std::uint64_t begin, std::uint64_t end) {
+    SsdFaultConfig faults;
+    faults.enabled = true;
+    faults.bad_ranges.push_back({begin, end});
+    env.ssd->set_fault_config(faults);
+  }
+  /// The first topology page: the hubs' adjacency, read by every batch.
+  static void break_topology(Env& env) {
+    const std::uint64_t at = dataset->layout().indices_offset;
+    set_bad_range(env, at, at + kPageSize);
+  }
+  static std::int64_t gauge(const Env& env, const char* name) {
+    return env.telemetry->metrics()->gauge(name).value();
+  }
+
+  /// After the abort: nothing held, and the same instance trains a whole
+  /// clean epoch.
+  static void expect_recovered(Env& env, GnnDrive& system) {
+    expect_no_leaks(system);
+    EXPECT_EQ(gauge(env, "io.staging_in_use"), 0);
+    EXPECT_EQ(gauge(env, "pipeline.running"), 0);
+    EXPECT_FALSE(env.telemetry->sampler()->running());
+    env.ssd->set_fault_config(SsdFaultConfig{});
+    const EpochStats next = system.run_epoch(1);
+    EXPECT_GT(next.batches, 10u);
+    EXPECT_EQ(next.result.trained_batches, next.batches);
+    EXPECT_EQ(next.result.failed_batches, 0u);
+    expect_no_leaks(system);
+  }
+};
+
+TEST_F(StageAbort, SamplerFaultAbortsTheEpochWithoutLeaks) {
+  auto env = make_env();
+  GnnDriveConfig cfg = base_config();
+  cfg.fault.backoff_initial_us = 10.0;
+  GnnDrive system(env.ctx, cfg);
+  break_topology(env);  // the page cache throws once its retries run out
+  EXPECT_THROW(system.run_epoch(0), std::runtime_error);
+  expect_recovered(env, system);
+}
+
+TEST_F(StageAbort, ExtractorFailFastAbortsTheEpochWithoutLeaks) {
+  auto env = make_env();
+  GnnDriveConfig cfg = base_config();
+  cfg.fault.fail_fast = true;
+  cfg.fault.backoff_initial_us = 10.0;
+  const auto& lay = dataset->layout();
+  set_bad_range(env, lay.features_offset,
+                lay.features_offset + 16 * lay.feature_row_bytes);  // hubs
+  GnnDrive system(env.ctx, cfg);
+  EXPECT_THROW(system.run_epoch(0), std::runtime_error);
+  expect_recovered(env, system);
+}
+
+TEST_F(StageAbort, TrainerCrashAbortsTheEpochWithoutLeaks) {
+  // The trainer dies in its third checkpoint while extractors are blocked
+  // on a full training queue: the batches they hold and the ones the
+  // trainer left queued must all give their references back.
+  const std::string dir = ::testing::TempDir() + "gnndrive-stage-abort";
+  std::filesystem::remove_all(dir);
+  auto env = make_env();
+  GnnDriveConfig cfg = base_config();
+  cfg.ckpt.enabled = true;
+  cfg.ckpt.dir = dir;
+  cfg.ckpt.interval_batches = 2;
+  cfg.ckpt.fsync = false;
+  GnnDrive system(env.ctx, cfg);
+  CrashInjector injector(CkptPhase::kAfterTempWrite, /*at_generation=*/3);
+  system.set_crash_injector(&injector);
+  EXPECT_THROW(system.run_epoch(0), CrashInjected);
+  EXPECT_TRUE(injector.fired());
+  expect_recovered(env, system);
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(StageAbort, ServeWorkerFaultStopsTheEngineWithoutLeaks) {
+  auto env = make_env();
+  GnnDrive system(env.ctx, base_config());
+  ServeConfig scfg;
+  scfg.workers = 2;
+  scfg.slo.deadline_ms = 0.0;
+  ServeEngine engine(env.ctx, scfg, system);
+  break_topology(env);
+  engine.start();
+  EXPECT_EQ(gauge(env, "serve.running"), 1);
+  std::vector<std::future<InferResult>> pending;
+  for (NodeId v = 0; v < 16; ++v) pending.push_back(engine.submit(v));
+  EXPECT_THROW(engine.stop(), std::runtime_error);
+  EXPECT_FALSE(engine.running());
+  EXPECT_EQ(gauge(env, "serve.running"), 0);
+  EXPECT_EQ(gauge(env, "serve.pinned"), 0);
+  EXPECT_FALSE(env.telemetry->sampler()->running());
+  expect_no_leaks(system);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include "baselines/pygplus.hpp"
 #include "core/pipeline.hpp"
+#include "util/telemetry.hpp"
 
 namespace gnndrive {
 namespace {
@@ -54,70 +55,88 @@ struct IntegrationFixture : ::testing::Test {
     c.batch_seeds = 8;
     return c;
   }
-
-  double warm_epoch_seconds(TrainSystem& system) {
-    system.run_epoch(100);  // warm-up
-    return system.run_epoch(0).epoch_seconds;
-  }
 };
 Dataset* IntegrationFixture::dataset = nullptr;
 
+/// Page-cache traffic of one warm epoch and the topology pages left
+/// resident after it: the paper's Observation 1 in counts.
+struct CacheWindow {
+  std::uint64_t misses = 0;
+  std::uint64_t evictions = 0;
+  std::uint64_t topo_resident = 0;
+  std::uint64_t topo_pages = 0;
+};
+
 TEST_F(IntegrationFixture, GnnDriveBeatsPygPlusUnderContention) {
-  // The paper's headline: under memory pressure GNNDrive-GPU is several
-  // times faster than PyG+. Assert a conservative 2x.
-  //
-  // Sanitizer slowdown shifts the compute/I/O balance (compute runs at
-  // instrumented speed, the simulated devices on wall-clock), compressing
-  // the speedup this test asserts — skip the ratio check there.
-#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
-  GTEST_SKIP() << "wall-clock speedup ratio; sanitizer slowdown distorts it";
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
-  GTEST_SKIP() << "wall-clock speedup ratio; sanitizer slowdown distorts it";
-#endif
-#endif
+  // The paper's headline under memory pressure (Observation 1): PyG+'s
+  // buffered feature reads evict the topology pages its samplers need,
+  // while GNNDrive's direct I/O leaves the page cache to the topology.
+  // Asserted on the warm epoch's page-cache counts, not on wall time; the
+  // speedup itself is measured by fig02 and the sync row of
+  // ablation_design_choices.
+  const auto warm_window = [&](TrainSystem& system, Env& env) {
+    system.run_epoch(100);  // warm-up: topology faulted in
+    const PageCacheStats before = env.cache->stats();
+    system.run_epoch(0);
+    const PageCacheStats after = env.cache->stats();
+    CacheWindow w;
+    w.misses = after.misses - before.misses;
+    w.evictions = after.evictions - before.evictions;
+    const auto& lay = dataset->layout();
+    for (std::uint64_t p = lay.indices_offset / kPageSize;
+         p <= (lay.indices_offset + lay.indices_bytes - 1) / kPageSize; ++p) {
+      ++w.topo_pages;
+      if (env.cache->contains_page(p)) ++w.topo_resident;
+    }
+    return w;
+  };
   auto env1 = make_env();
   GnnDriveConfig gd_cfg;
   gd_cfg.common = common();
   GnnDrive gnndrive(env1.ctx, gd_cfg);
-  const double gd = warm_epoch_seconds(gnndrive);
+  const CacheWindow gd = warm_window(gnndrive, env1);
 
   auto env2 = make_env();
   PygPlusConfig pyg_cfg;
   pyg_cfg.common = common();
   PygPlus pyg(env2.ctx, pyg_cfg);
-  const double pg = warm_epoch_seconds(pyg);
+  const CacheWindow pg = warm_window(pyg, env2);
 
-  EXPECT_GT(pg, 2.0 * gd) << "GNNDrive " << gd << "s vs PyG+ " << pg << "s";
+  // GNNDrive: the whole topology stays resident and nothing faults.
+  EXPECT_EQ(gd.misses, 0u);
+  EXPECT_EQ(gd.topo_resident, gd.topo_pages);
+  // PyG+: features thrash the cache (about 43k misses and as many
+  // evictions per epoch) and push out over half of the topology.
+  EXPECT_GT(pg.misses, 10000u);
+  EXPECT_GT(pg.evictions, 10000u);
+  EXPECT_LT(pg.topo_resident, pg.topo_pages * 3 / 4);
 }
 
 TEST_F(IntegrationFixture, AsyncExtractionBeatsSyncAblation) {
-  // Isolate asynchrony: one extractor, slow device, so extraction is on
-  // the critical path. (With 4 extractors + light I/O, pipeline overlap
-  // hides even synchronous loading — which is itself by design.)
-  const auto run_with_depth = [&](unsigned depth) {
-    Env env;
-    SsdConfig ssd_cfg;
-    ssd_cfg.read_latency_us = 150.0;
-    env.ssd = dataset->make_device(ssd_cfg);
-    env.mem = std::make_unique<HostMemory>(12ull << 20);
-    env.cache = std::make_unique<PageCache>(*env.mem, *env.ssd);
-    env.ctx = RunContext{dataset, env.ssd.get(), env.mem.get(),
-                         env.cache.get(), nullptr};
+  // Asynchronous extraction keeps up to ring_depth reads in flight; the
+  // depth-1 ablation never has more than one. Asserted on the in-flight
+  // high-water mark of one cold epoch (one extractor, so one ring), not on
+  // wall time; the speedup is measured by the sync row of
+  // ablation_design_choices.
+  const auto inflight_max = [&](unsigned depth, std::uint32_t slices) {
+    auto env = make_env();
+    Telemetry telemetry;
+    env.ctx.telemetry = &telemetry;
     GnnDriveConfig cfg;
     cfg.common = common();
     cfg.num_extractors = 1;
     cfg.ring_depth = depth;
-    // Bare Mb reserve: the buffer cannot hold the whole graph, so every
-    // epoch performs real loads (capacity misses) that depth must hide.
+    // Bare Mb reserve: the buffer cannot hold the whole graph, so the
+    // epoch performs real loads (capacity misses).
     cfg.feature_buffer_scale = 0.01;
     GnnDrive system(env.ctx, cfg);
-    return warm_epoch_seconds(system);
+    system.set_segment(0, slices);  // the depth-1 arm: a slice suffices
+    const EpochStats stats = system.run_epoch(0);
+    EXPECT_GT(stats.obs.io_segments, 100u);
+    return telemetry.metrics()->gauge("io.inflight").max();
   };
-  const double async_s = run_with_depth(128);
-  const double sync_s = run_with_depth(1);
-  EXPECT_GT(sync_s, 2.0 * async_s)
-      << "async " << async_s << "s vs sync " << sync_s << "s";
+  EXPECT_GE(inflight_max(128, 1), 64);
+  EXPECT_EQ(inflight_max(1, 8), 1);
 }
 
 TEST_F(IntegrationFixture, DirectIoSparesPageCacheBufferedDoesNot) {

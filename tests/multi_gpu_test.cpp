@@ -99,6 +99,14 @@ TEST_F(MultiGpuFixture, FailingReplicaThrowsInsteadOfAborting) {
   cfg.replica.fault.backoff_initial_us = 10.0;
   MultiGpuGnnDrive system(env.ctx, cfg);
   EXPECT_THROW(system.run_epoch(0), std::runtime_error);
+  // Each replica's aborted pipeline gave every reference back.
+  for (std::uint32_t r = 0; r < system.num_replicas(); ++r) {
+    FeatureBuffer& fb = system.replica(r).feature_buffer();
+    for (NodeId v = 0; v < dataset->spec().num_nodes; ++v) {
+      ASSERT_EQ(fb.entry(v).ref_count, 0u) << "replica " << r << " node " << v;
+    }
+    EXPECT_EQ(fb.standby_size(), fb.num_slots()) << "replica " << r;
+  }
 
   // The failed epoch left no hook on the dead barrier: a replica trains on
   // its own, and the group trains together once the device heals.

@@ -14,7 +14,6 @@
 #include "obs/metrics.hpp"
 #include "storage/ssd.hpp"
 #include "util/env.hpp"
-#include "util/queue.hpp"
 #include "util/telemetry.hpp"
 
 namespace gnndrive {
@@ -71,18 +70,6 @@ TEST(Telemetry, SyncDeviceReadCountsAsIoWaitViaPageCache) {
   std::uint8_t buf[8];
   cache.read(0, 8, buf);  // cold miss: ~2 ms modeled wait
   EXPECT_GE(tel.total_seconds(TraceCat::kIoWait), 1.5e-3);
-}
-
-TEST(BoundedQueue, ReopenAfterClose) {
-  BoundedQueue<int> q(2);
-  q.push(1);
-  q.close();
-  EXPECT_FALSE(q.push(2));
-  EXPECT_EQ(q.pop().value(), 1);
-  EXPECT_FALSE(q.pop().has_value());
-  q.reopen();
-  EXPECT_TRUE(q.push(3));
-  EXPECT_EQ(q.pop().value(), 3);
 }
 
 TEST(Telemetry, IntervalApportionsAcrossManyBuckets) {
