@@ -350,6 +350,8 @@ bool extract_load_set(SampledBatch& batch,
   // Scratch reused per segment for the batched slot allocation.
   std::vector<NodeId> seg_nodes;
   std::vector<SlotId> seg_slots;
+  // Rows a serve lookup took over before this loop allocated them.
+  std::vector<std::uint32_t> taken_idx;
 
   const auto submit_segment = [&](std::size_t s) {
     const TimePoint t = tracing ? Clock::now() : TimePoint{};
@@ -424,7 +426,7 @@ bool extract_load_set(SampledBatch& batch,
     for (auto next = next_to_submit(); next.has_value();
          next = next_to_submit()) {
       const std::size_t s = *next;
-      const SegmentPlan::Segment& seg = plan.segments[s];
+      SegmentPlan::Segment& seg = plan.segments[s];
       GD_CHECK(seg.len <= env.staging_row_bytes && seg.len <= arena.capacity());
       const auto offset = arena.allocate(seg.len);
       if (!offset.has_value()) break;
@@ -444,10 +446,28 @@ bool extract_load_set(SampledBatch& batch,
         seg_nodes.push_back(batch.nodes[load_idx[plan.rows[r].load_pos]]);
       }
       seg_slots.resize(seg_nodes.size());
-      fb.allocate_slots(seg_nodes.data(), seg_nodes.size(), seg_slots.data());
-      for (std::uint32_t r = 0; r < seg.num_rows; ++r) {
-        batch.alias[load_idx[plan.rows[seg.first_row + r].load_pos]] =
-            seg_slots[r];
+      fb.allocate_slots(seg_nodes.data(), seg_nodes.size(), seg_slots.data(),
+                        policy.client);
+      // A row that a serve lookup took over comes back without a slot and
+      // leaves the segment (whose read still spans it); it is waited on
+      // after this batch's own loads. A segment left without rows issues
+      // no read.
+      std::uint32_t kept = seg.first_row;
+      for (std::uint32_t r = 0; r < seg_slots.size(); ++r) {
+        const SegmentPlan::Row row = plan.rows[seg.first_row + r];
+        const std::uint32_t i = load_idx[row.load_pos];
+        batch.alias[i] = seg_slots[r];
+        if (seg_slots[r] == kNoSlot) {
+          taken_idx.push_back(i);
+        } else {
+          plan.rows[kept++] = row;
+        }
+      }
+      seg.num_rows = kept - seg.first_row;
+      if (seg.num_rows == 0) {
+        free_staging(s);
+        ++resolved;
+        continue;
       }
       ++counters.segments;
       counters.rows_loaded += seg.num_rows;
@@ -518,7 +538,11 @@ bool extract_load_set(SampledBatch& batch,
         }
         continue;
       }
-      if (seg.num_rows > 1) {
+      // A read spanning more than its one row's bytes (more rows, or rows
+      // that serving took over) re-reads its rows one by one.
+      const std::uint64_t off = seg.base + plan.rows[seg.first_row].seg_offset;
+      if (seg.num_rows > 1 ||
+          seg.len > round_up(off + row_bytes, align) - round_down(off, align)) {
         split_segment(s);
         continue;
       }
@@ -613,7 +637,10 @@ bool extract_load_set(SampledBatch& batch,
         lk, [&] { return tracker.transfers_done == transfers_started; });
     if (tracing) trace->copy_wait_ns += elapsed_ns(tw, Clock::now());
   }
-  return !failed;
+  // Taken-over rows resolve like the wait list, after this batch's own
+  // loads: a loader never waits while holding reads it has not issued.
+  return !failed &&
+         resolve_wait_list(fb, batch, taken_idx, policy.wait_list_timeout);
 }
 
 }  // namespace gnndrive

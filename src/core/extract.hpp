@@ -25,6 +25,8 @@
 // segment that fails for good re-reads each of its rows once on its own,
 // and only a row whose own read fails is marked failed and fails the batch.
 // The rest of the batch still loads: other batches may wait on those rows.
+// Rows that serving took over from a training load set (see
+// core/feature_buffer.hpp) are skipped and waited on at the end.
 // `coalesce.enabled = false` degenerates to one single-row segment per node
 // — the planner and loop are the same code, so the A/B toggle compares pure
 // I/O shapes.
@@ -227,7 +229,9 @@ struct ExtractCounters {
   std::uint64_t io_recovered = 0;
   std::uint64_t io_timeouts = 0;
   std::uint64_t segments = 0;     ///< reads issued (first submissions)
-  std::uint64_t rows_loaded = 0;  ///< feature rows delivered by those reads
+  /// Feature rows delivered by those reads (load-set rows that serving
+  /// took over are not among them).
+  std::uint64_t rows_loaded = 0;
 };
 
 /// Tracing accumulators (nanoseconds), filled only while `tracing` is set.
@@ -254,9 +258,14 @@ void triage_batch(FeatureBuffer& fb, SampledBatch& batch,
 /// asynchronous reads, scatter completed rows into the feature buffer,
 /// retry transient failures per segment, re-read the rows of a segment that
 /// failed for good one by one, and drain all transfers before
-/// returning. Returns false when the batch failed permanently — every node
-/// of `load_idx` is then resolved (valid or failed) and the caller still
-/// owns releasing all references.
+/// returning. A row that a serve lookup took over before it got a slot
+/// (FeatureBuffer::allocate_slots hands it back without one) is left to
+/// serving: a segment whose rows were all taken issues no read,
+/// and the taken rows are waited on after the loop, as resolve_wait_list
+/// does, within `policy.wait_list_timeout`. Returns false when the batch
+/// failed permanently — every row this call loads is then resolved (valid
+/// or failed), taken rows by their new loader, and the caller still owns
+/// releasing all references.
 bool extract_load_set(SampledBatch& batch,
                       const std::vector<std::uint32_t>& load_idx,
                       const ExtractEnv& env, const ExtractPolicy& policy,

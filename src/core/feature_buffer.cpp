@@ -50,6 +50,7 @@ FeatureBuffer::FeatureBuffer(const FeatureBufferConfig& config,
   }
   slot_waits_ = &reg.counter("fb.slot_waits");
   failed_loads_ = &reg.counter("fb.failed_loads");
+  takeovers_ = &reg.counter("fb.serve.takeovers");
   evictions_ = &reg.counter("fb.evictions");
   batch_locks_ = &reg.counter("fb.batch_lock_acquisitions");
   standby_gauge_ = &reg.gauge("fb.standby");
@@ -103,42 +104,61 @@ FeatureBuffer::CheckResult FeatureBuffer::check_and_ref_locked(
     }
     counts.reuse_hits->add();
     result = {CheckStatus::kReady, e.slot};
-  } else if (e.ref_count > 0) {
+  } else if (e.ref_count == 0 ||
+             (client == FbClient::kServe && e.loader == FbClient::kTrain &&
+              e.slot == kNoSlot && !e.failed)) {
+    // Not buffered — or claimed by a training extractor whose read has not
+    // started (no slot yet): serving takes that load over rather than wait
+    // behind training's queued reads. Training's allocate_slots() then
+    // hands the node back without a slot and its batch waits for it.
+    if (e.ref_count > 0) {
+      takeovers_->add();
+      // A training allocate_slots() blocked on this node stops waiting.
+      slot_available_.notify_all();
+    }
+    counts.loads->add();
+    e.loader = client;
+    result = {CheckStatus::kMustLoad, kNoSlot};
+  } else {
     // Another extractor is loading this node right now (or has marked it
     // failed and its references are still draining — waiters then see the
     // failure from wait_ready and fail their own batch).
     counts.wait_hits->add();
     result = {CheckStatus::kInFlight, e.slot};
-  } else {
-    counts.loads->add();
-    result = {CheckStatus::kMustLoad, kNoSlot};
   }
   ++e.ref_count;
   return result;
 }
 
-SlotId FeatureBuffer::allocate_slot(NodeId node) {
+SlotId FeatureBuffer::allocate_slot(NodeId node, FbClient client) {
   std::unique_lock lock(mu_);
-  return allocate_slot_locked(lock, node);
+  return allocate_slot_locked(lock, node, client);
 }
 
 void FeatureBuffer::allocate_slots(const NodeId* nodes, std::size_t n,
-                                   SlotId* out) {
+                                   SlotId* out, FbClient client) {
   std::unique_lock lock(mu_);
   batch_locks_->add();
   for (std::size_t i = 0; i < n; ++i) {
-    out[i] = allocate_slot_locked(lock, nodes[i]);
+    out[i] = allocate_slot_locked(lock, nodes[i], client);
   }
 }
 
 SlotId FeatureBuffer::allocate_slot_locked(std::unique_lock<std::mutex>& lock,
-                                           NodeId node) {
+                                           NodeId node, FbClient client) {
   Entry& e = map_[node];
-  GD_CHECK_MSG(!e.valid && e.slot == kNoSlot && e.ref_count > 0,
+  GD_CHECK_MSG(e.ref_count > 0, "allocate_slot on unreferenced node");
+  // Taken over by a serve lookup: the caller's reference stays, so the
+  // entry cannot reset or be evicted before the caller waits on it.
+  if (e.loader != client) return kNoSlot;
+  GD_CHECK_MSG(!e.valid && e.slot == kNoSlot,
                "allocate_slot on node not in kMustLoad state");
   if (standby_.empty()) {
     slot_waits_->add();
-    slot_available_.wait(lock, [&] { return !standby_.empty(); });
+    // A serve lookup may take the load over while this waits.
+    slot_available_.wait(
+        lock, [&] { return !standby_.empty() || e.loader != client; });
+    if (e.loader != client) return kNoSlot;
   }
   const std::uint32_t slot = standby_.pop_lru();
   publish_standby_locked();

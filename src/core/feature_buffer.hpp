@@ -2,8 +2,10 @@
 //
 // Four components, exactly as the paper describes:
 //  * mapping table  — per graph node: {slot index, reference count, valid
-//    bit}. States: (slot=-1, valid=0) not buffered; (slot>=0, valid=0) being
-//    extracted; (slot>=0, valid=1) ready. (slot=-1, valid=1) is unreachable.
+//    bit, loader}. States: (slot=-1, valid=0, ref=0) not buffered;
+//    (slot=-1, valid=0, ref>0) claimed by its loader, read not started;
+//    (slot>=0, valid=0) being extracted by its loader; (slot>=0, valid=1)
+//    ready. (slot=-1, valid=1) is unreachable.
 //  * buffer         — the slot storage itself (device memory for GPU
 //    training, host memory for the CPU variant).
 //  * reverse map    — slot -> node currently occupying it (-1 when empty).
@@ -16,6 +18,16 @@
 // reference counts bumped), then allocate_slot() + asynchronous load +
 // mark_valid() for the to-load set, and finally wait_valid() on wait-listed
 // nodes. The releaser calls release() after training.
+//
+// Serve take-over. Each in-flight node records its loader (the FbClient
+// whose lookup claimed it). A serve lookup that finds a node claimed by a
+// training extractor which has no slot for it yet — its read has not
+// started — claims the load itself (kMustLoad, counted in
+// fb.serve.takeovers) instead of waiting behind training's queued reads.
+// The training extractor's allocate_slots() then hands the node back
+// without a slot, and it waits for the node like a wait-list entry. A
+// node that already holds a slot, was claimed by another serve lookup, or
+// failed is waited on as before.
 //
 // Hot partition (src/cache). A hotness-aware policy may pin the top-K nodes
 // by estimated access frequency into a dedicated slot region via pin_hot():
@@ -130,17 +142,21 @@ class FeatureBuffer : NonCopyable {
                            CheckResult* out,
                            FbClient client = FbClient::kTrain);
 
-  /// Pass 2: assigns the LRU standby slot to `node` (which must be in the
-  /// kMustLoad state), lazily invalidating the slot's previous occupant.
-  /// Blocks while the standby list is empty.
-  SlotId allocate_slot(NodeId node);
+  /// Pass 2: assigns the LRU standby slot to `node` (which `client`'s
+  /// lookup triaged kMustLoad), lazily invalidating the slot's previous
+  /// occupant. Blocks while the standby list is empty. Returns kNoSlot
+  /// when a serve lookup took the load over — at once, or as soon as it
+  /// does while this waits: the caller still holds its reference and
+  /// resolves the node like a wait-list entry (wait_ready).
+  SlotId allocate_slot(NodeId node, FbClient client = FbClient::kTrain);
 
   /// Pass 2 for a group of kMustLoad nodes under (at minimum) a single
-  /// mutex acquisition; writes each node's slot to `out[0..n)`. Blocking
-  /// semantics match n sequential allocate_slot calls — the wait happens
-  /// per node as the standby list drains, so the deadlock-freedom argument
-  /// (num_slots >= Ne x Mb) is unchanged.
-  void allocate_slots(const NodeId* nodes, std::size_t n, SlotId* out);
+  /// mutex acquisition; writes each node's slot (kNoSlot when taken over)
+  /// to `out[0..n)`. Blocking semantics match n sequential allocate_slot
+  /// calls — the wait happens per node as the standby list drains, so the
+  /// deadlock-freedom argument (num_slots >= Ne x Mb) is unchanged.
+  void allocate_slots(const NodeId* nodes, std::size_t n, SlotId* out,
+                      FbClient client = FbClient::kTrain);
 
   /// Marks the node's data ready (after load + transfer) and wakes waiters.
   void mark_valid(NodeId node);
@@ -214,6 +230,9 @@ class FeatureBuffer : NonCopyable {
     bool valid = false;
     bool failed = false;  ///< load permanently failed; resets at refcount 0
     bool pinned = false;  ///< hot-partition member; exempt from eviction
+    /// Who claimed the in-flight load (meaningful while ref_count > 0 and
+    /// !valid); a serve take-over moves it from kTrain to kServe.
+    FbClient loader = FbClient::kTrain;
   };
   Entry entry(NodeId node) const;
   NodeId reverse(SlotId slot) const;  ///< kInvalidNode when slot is empty
@@ -235,7 +254,8 @@ class FeatureBuffer : NonCopyable {
   /// check_and_ref body; called with mu_ held.
   CheckResult check_and_ref_locked(NodeId node, FbClient client);
   /// allocate_slot body; may release `lock` to wait for a standby slot.
-  SlotId allocate_slot_locked(std::unique_lock<std::mutex>& lock, NodeId node);
+  SlotId allocate_slot_locked(std::unique_lock<std::mutex>& lock, NodeId node,
+                              FbClient client);
 
   const std::uint64_t num_slots_;
   const std::uint32_t row_floats_;
@@ -269,6 +289,7 @@ class FeatureBuffer : NonCopyable {
   } by_client_[kNumFbClients];
   Counter* slot_waits_;       ///< fb.slot_waits
   Counter* failed_loads_;     ///< fb.failed_loads
+  Counter* takeovers_;        ///< fb.serve.takeovers
   Counter* evictions_;        ///< fb.evictions (slot re-assigned)
   Counter* batch_locks_;      ///< fb.batch_lock_acquisitions
   Gauge* standby_gauge_;      ///< fb.standby (list length)

@@ -763,6 +763,322 @@ TEST(CoalesceFaults, StuckSegmentsCancelledByWatchdog) {
   }
 }
 
+// -- Serve take-over of unstarted training loads ------------------------------
+
+// Training and serving on one feature buffer and device, each with its own
+// ring and staging arena, as GnnDrive and ServeEngine share them. Training
+// triages its batch first; a serve extraction then takes over the rows it
+// shares with training's load set; then training extracts. With
+// `concurrent`, training's extraction runs on a thread while serving
+// extracts, so training's waits on the taken rows really block.
+struct TakeOverRun {
+  bool train_ok = false;
+  bool serve_ok = false;
+  ExtractCounters train;
+  ExtractCounters serve;
+  std::uint64_t ssd_reads = 0;        ///< both clients
+  std::uint64_t train_ssd_reads = 0;  ///< during training's extraction
+  FeatureBufferStats train_fb;
+  FeatureBufferStats serve_fb;
+  std::uint64_t takeovers = 0;        ///< fb.serve.takeovers
+  std::uint64_t coalesce_rows = 0;    ///< io.coalesce.rows
+  /// Rows byte-exact against the dataset: training's and serving's, for
+  /// every node that was valid before the releases (all, when ok).
+  std::vector<NodeId> exact;
+  std::vector<NodeId> failed;  ///< nodes marked failed, before the releases
+};
+
+TakeOverRun take_over_run(Dataset& ds, Target target,
+                          const std::vector<NodeId>& train_nodes,
+                          const std::vector<NodeId>& serve_nodes,
+                          bool concurrent,
+                          const SsdFaultConfig* faults = nullptr) {
+  SsdConfig ssd_cfg;
+  ssd_cfg.read_latency_us = 20.0;
+  auto ssd = ds.make_device(ssd_cfg);
+  if (faults != nullptr) ssd->set_fault_config(*faults);
+  Telemetry telemetry;
+  const ExtractMetricHooks hooks = extract_metric_hooks(&telemetry);
+  const auto dim = ds.spec().feature_dim;
+  const auto row_bytes =
+      static_cast<std::uint32_t>(ds.layout().feature_row_bytes);
+  FeatureBuffer fb(
+      FeatureBufferConfig{train_nodes.size() + serve_nodes.size(), dim},
+      ds.spec().num_nodes, &telemetry);
+  std::unique_ptr<GpuDevice> gpu;
+  if (target == Target::kGds) gpu = std::make_unique<GpuDevice>(GpuConfig{});
+
+  const CoalesceConfig co;
+  const std::uint32_t staging_row_bytes = staging_row_bytes_for(
+      co, covering_row_bytes(row_bytes, read_align(target)));
+  const std::uint32_t staging_rows = staging_rows_for(co, 64);
+  struct Client {
+    std::unique_ptr<IoRing> ring;
+    std::vector<std::uint8_t> staging;
+    ExtractEnv env;
+    ExtractPolicy policy;
+    SampledBatch batch;
+    std::vector<std::uint32_t> wait_idx, load_idx;
+    bool ok = false;
+  };
+  Client clients[2];
+  for (const FbClient c : {FbClient::kTrain, FbClient::kServe}) {
+    Client& cl = clients[static_cast<std::size_t>(c)];
+    IoRingConfig rc;
+    rc.queue_depth = 64;
+    rc.direct = true;
+    rc.max_transfer_bytes = staging_row_bytes;
+    rc.io_class = c == FbClient::kServe ? IoClass::kLatency
+                                        : IoClass::kThroughput;
+    cl.ring = std::make_unique<IoRing>(*ssd, rc, nullptr, &telemetry);
+    cl.staging.resize(staging_arena_bytes(staging_rows, staging_row_bytes));
+    cl.env = ExtractEnv{&fb,          &ds.layout(),      row_bytes,
+                        cl.ring.get(), cl.staging.data(), staging_row_bytes,
+                        staging_rows,  gpu.get(),         &telemetry,
+                        target == Target::kGds};
+    cl.policy.coalesce = co;
+    cl.policy.max_retries = 2;
+    set_timeouts(cl.policy, 250.0, c == FbClient::kServe ? 1000.0 : 10000.0);
+    cl.policy.client = c;
+    cl.batch.nodes = c == FbClient::kServe ? serve_nodes : train_nodes;
+    cl.batch.alias.assign(cl.batch.nodes.size(), kNoSlot);
+  }
+  Client& train = clients[0];
+  Client& serve = clients[1];
+
+  TakeOverRun out;
+  triage_batch(fb, train.batch, train.wait_idx, train.load_idx,
+               FbClient::kTrain);
+  triage_batch(fb, serve.batch, serve.wait_idx, serve.load_idx,
+               FbClient::kServe);
+  const auto extract = [&](Client& cl, ExtractCounters& counters) {
+    cl.ok = extract_load_set(cl.batch, cl.load_idx, cl.env, cl.policy, hooks,
+                             counters, nullptr) &&
+            resolve_wait_list(fb, cl.batch, cl.wait_idx,
+                              cl.policy.wait_list_timeout);
+  };
+  if (concurrent) {
+    std::thread trainer([&] { extract(train, out.train); });
+    extract(serve, out.serve);
+    trainer.join();
+  } else {
+    extract(serve, out.serve);
+    const std::uint64_t reads0 = ssd->stats().reads;
+    extract(train, out.train);
+    out.train_ssd_reads = ssd->stats().reads - reads0;
+  }
+  out.train_ok = train.ok;
+  out.serve_ok = serve.ok;
+  out.ssd_reads = ssd->stats().reads;
+  out.train_fb = fb.stats(FbClient::kTrain);
+  out.serve_fb = fb.stats(FbClient::kServe);
+  out.takeovers = telemetry.metrics()->counter("fb.serve.takeovers").value();
+  out.coalesce_rows = hooks.rows->value();
+
+  std::vector<float> truth(dim);
+  for (const Client* cl : {&train, &serve}) {
+    for (const NodeId v : cl->batch.nodes) {
+      const auto e = fb.entry(v);
+      if (e.failed) out.failed.push_back(v);
+      if (!e.valid) continue;
+      ds.read_feature_row(v, truth.data());
+      if (std::memcmp(fb.slot_data(e.slot), truth.data(),
+                      dim * sizeof(float)) == 0) {
+        out.exact.push_back(v);
+      }
+    }
+  }
+  for (auto* list : {&out.exact, &out.failed}) {
+    std::sort(list->begin(), list->end());
+    list->erase(std::unique(list->begin(), list->end()), list->end());
+  }
+
+  // Serving releases first; a failed entry that training still references
+  // stays failed until training's release, its last.
+  fb.release(serve.batch.nodes);
+  for (const NodeId v : out.failed) {
+    EXPECT_TRUE(fb.entry(v).failed) << "node " << v;
+  }
+  fb.release(train.batch.nodes);
+  for (NodeId v = 0; v < ds.spec().num_nodes; ++v) {
+    const auto e = fb.entry(v);
+    EXPECT_EQ(e.ref_count, 0u) << "leaked ref on node " << v;
+    EXPECT_FALSE(e.failed) << "node " << v << " did not reset";
+  }
+  EXPECT_EQ(fb.standby_size(), fb.num_slots());
+  EXPECT_EQ(train.ring->in_flight(), 0u);
+  EXPECT_EQ(serve.ring->in_flight(), 0u);
+  EXPECT_EQ(hooks.staging_in_use->value(), 0) << "staging bytes leaked";
+  return out;
+}
+
+std::vector<NodeId> node_run(NodeId first, NodeId count) {
+  std::vector<NodeId> nodes(count);
+  for (NodeId i = 0; i < count; ++i) nodes[i] = first + i;
+  return nodes;
+}
+
+std::vector<NodeId> sorted_union(std::vector<NodeId> a,
+                                 const std::vector<NodeId>& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  std::sort(a.begin(), a.end());
+  a.erase(std::unique(a.begin(), a.end()), a.end());
+  return a;
+}
+
+// Training's load set: three runs far apart on disk, one segment each.
+// Serving shares all of the first and two rows of the second, and loads two
+// rows of its own.
+struct TakeOverSets {
+  std::vector<NodeId> all_taken = node_run(2000, 8);
+  std::vector<NodeId> partly = node_run(2200, 8);
+  std::vector<NodeId> untouched = node_run(2400, 8);
+  std::vector<NodeId> taken_of_partly = {2203, 2204};
+  std::vector<NodeId> serve_own = {3000, 3001};
+  std::vector<NodeId> train() const {
+    return sorted_union(sorted_union(all_taken, partly), untouched);
+  }
+  std::vector<NodeId> serve() const {
+    return sorted_union(sorted_union(all_taken, taken_of_partly), serve_own);
+  }
+};
+
+TEST(CoalesceTakeOver, ServeTakesUnstartedRowsAndTrainingSkipsTheirReads) {
+  Dataset ds = Dataset::build(toy_spec(128));
+  const TakeOverSets sets;
+  const std::vector<NodeId> train = sets.train();
+  const std::vector<NodeId> serve = sets.serve();
+  const std::uint64_t taken = sets.all_taken.size() +
+                              sets.taken_of_partly.size();
+  for (const Target target : kTargets) {
+    for (const bool concurrent : {false, true}) {
+      SCOPED_TRACE(target_name(target));
+      SCOPED_TRACE(concurrent ? "concurrent" : "serve first");
+      const TakeOverRun r = take_over_run(ds, target, train, serve, concurrent);
+      ASSERT_TRUE(r.serve_ok);
+      ASSERT_TRUE(r.train_ok);
+      EXPECT_EQ(r.exact, sorted_union(train, serve));  // every row byte-exact
+      // The all-taken segment issued no read; the partly taken one read
+      // once; the untouched one once. Serving read its three runs once each.
+      EXPECT_EQ(r.train.segments, 2u);
+      EXPECT_EQ(r.serve.segments, 3u);
+      if (!concurrent) {
+        EXPECT_EQ(r.train_ssd_reads, 2u);
+      }
+      EXPECT_EQ(r.ssd_reads, 5u);
+      EXPECT_EQ(r.train.rows_loaded, train.size() - taken);
+      EXPECT_EQ(r.serve.rows_loaded, serve.size());
+      // Each take-over counts once, as a serve load.
+      EXPECT_EQ(r.takeovers, taken);
+      EXPECT_EQ(r.serve_fb.loads, serve.size());
+      EXPECT_EQ(r.serve_fb.wait_hits, 0u);
+      EXPECT_EQ(r.train_fb.loads, train.size());
+      // Rows delivered by reads = training loads + serve loads - take-overs.
+      EXPECT_EQ(r.coalesce_rows,
+                r.train_fb.loads + r.serve_fb.loads - r.takeovers);
+      EXPECT_TRUE(r.failed.empty());
+    }
+  }
+}
+
+TEST(CoalesceTakeOver, FailedTakeOverFailsServeAndTheWaitingTrainingBatch) {
+  Dataset ds = Dataset::build(toy_spec(128));
+  const auto& lay = ds.layout();
+  const TakeOverSets sets;
+  const std::vector<NodeId> train = sets.train();
+  const std::vector<NodeId> serve = sets.serve();
+  // Media errors under one taken-over row: serving's read of it fails for
+  // good, after retries and a re-read of its segment row by row.
+  SsdFaultConfig faults;
+  faults.enabled = true;
+  faults.bad_ranges.push_back(
+      {lay.feature_offset_of(2003),
+       lay.feature_offset_of(2003) + lay.feature_row_bytes});
+  for (const Target target : kTargets) {
+    for (const bool concurrent : {false, true}) {
+      SCOPED_TRACE(target_name(target));
+      SCOPED_TRACE(concurrent ? "concurrent" : "serve first");
+      // A row fails when its own covering read touches the bad bytes.
+      const std::uint32_t align = read_align(target);
+      std::vector<NodeId> bad;
+      for (const NodeId v : sets.all_taken) {
+        const std::uint64_t off = lay.feature_offset_of(v);
+        if (round_down(off, align) < faults.bad_ranges[0].end &&
+            round_up(off + lay.feature_row_bytes, align) >
+                faults.bad_ranges[0].begin) {
+          bad.push_back(v);
+        }
+      }
+      ASSERT_FALSE(bad.empty());
+      ASSERT_LT(bad.size(), sets.all_taken.size());
+      const TakeOverRun r =
+          take_over_run(ds, target, train, serve, concurrent, &faults);
+      // Both batches fail: serving read the row, training waited on it.
+      EXPECT_FALSE(r.serve_ok);
+      EXPECT_FALSE(r.train_ok);
+      EXPECT_EQ(r.failed, bad);
+      // Every other row of both batches still loaded, byte-exact; the
+      // failed entries reset at training's release (take_over_run checks).
+      std::vector<NodeId> healthy;
+      for (const NodeId v : sorted_union(train, serve)) {
+        if (std::find(bad.begin(), bad.end(), v) == bad.end()) {
+          healthy.push_back(v);
+        }
+      }
+      EXPECT_EQ(r.exact, healthy);
+      EXPECT_EQ(r.train.segments, 2u);
+      EXPECT_EQ(r.takeovers,
+                sets.all_taken.size() + sets.taken_of_partly.size());
+    }
+  }
+}
+
+TEST(CoalesceTakeOver, BadBytesUnderATakenRowSpareTheRowTrainingKeeps) {
+  Dataset ds = Dataset::build(toy_spec(128));
+  const auto& lay = ds.layout();
+  // Serving takes over all but the last row of training's first segment,
+  // and its read of 2203 fails for good. Training's read of that segment
+  // still spans the bad bytes, but the one row it keeps, 2207, reads fine
+  // on its own.
+  const std::vector<NodeId> train =
+      sorted_union(node_run(2200, 8), node_run(2400, 8));
+  const std::vector<NodeId> serve = sorted_union(node_run(2200, 7), {3000});
+  SsdFaultConfig faults;
+  faults.enabled = true;
+  faults.bad_ranges.push_back(
+      {lay.feature_offset_of(2203),
+       lay.feature_offset_of(2203) + lay.feature_row_bytes});
+  for (const Target target : kTargets) {
+    for (const bool concurrent : {false, true}) {
+      SCOPED_TRACE(target_name(target));
+      SCOPED_TRACE(concurrent ? "concurrent" : "serve first");
+      // A row fails when its own covering read touches the bad bytes.
+      const std::uint32_t align = read_align(target);
+      std::vector<NodeId> bad;
+      std::vector<NodeId> healthy;
+      for (const NodeId v : sorted_union(train, serve)) {
+        const std::uint64_t off = lay.feature_offset_of(v);
+        const bool hit = round_down(off, align) < faults.bad_ranges[0].end &&
+                         round_up(off + lay.feature_row_bytes, align) >
+                             faults.bad_ranges[0].begin;
+        (hit ? bad : healthy).push_back(v);
+      }
+      if (target == Target::kStaging) {
+        ASSERT_EQ(std::find(bad.begin(), bad.end(), 2207u), bad.end());
+      }
+      const TakeOverRun r =
+          take_over_run(ds, target, train, serve, concurrent, &faults);
+      EXPECT_FALSE(r.serve_ok);
+      EXPECT_FALSE(r.train_ok);  // it waited on 2203
+      EXPECT_EQ(r.failed, bad);
+      EXPECT_EQ(r.exact, healthy);
+      EXPECT_EQ(r.train.segments, 2u);
+      EXPECT_EQ(r.train.rows_loaded, train.size() - 7);
+      EXPECT_EQ(r.takeovers, 7u);
+    }
+  }
+}
+
 // -- IoRing request-length validation ----------------------------------------
 
 TEST(CoalesceIoRing, OversizedAndZeroLengthReadsFailEinval) {

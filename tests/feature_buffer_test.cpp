@@ -8,6 +8,7 @@
 
 #include "core/feature_buffer.hpp"
 #include "util/rng.hpp"
+#include "util/telemetry.hpp"
 
 namespace gnndrive {
 namespace {
@@ -182,6 +183,193 @@ TEST(FeatureBuffer, StatsCategorizeOutcomes) {
   EXPECT_EQ(stats.loads, 1u);
   EXPECT_EQ(stats.wait_hits, 1u);
   EXPECT_EQ(stats.reuse_hits, 1u);
+}
+
+// ---- Serve take-over: a serve lookup claims a load that a training
+// extractor triaged but has not started (no slot yet).
+
+// A buffer counting into its own registry, whose fb.serve.takeovers
+// counter is the one store of take-overs.
+struct TakeOverBuffer {
+  explicit TakeOverBuffer(std::uint64_t slots)
+      : fb(FeatureBufferConfig{slots, 4}, 10, &telemetry) {}
+  std::uint64_t takeovers() {
+    return telemetry.metrics()->counter("fb.serve.takeovers").value();
+  }
+  Telemetry telemetry;
+  FeatureBuffer fb;
+};
+
+TEST(FeatureBufferTakeOver, ServeClaimsASlotlessTrainingLoad) {
+  TakeOverBuffer b(4);
+  FeatureBuffer& fb = b.fb;
+  ASSERT_EQ(fb.check_and_ref(5, FbClient::kTrain).status,
+            FeatureBuffer::CheckStatus::kMustLoad);
+  EXPECT_EQ(fb.entry(5).loader, FbClient::kTrain);
+  const auto r = fb.check_and_ref(5, FbClient::kServe);
+  EXPECT_EQ(r.status, FeatureBuffer::CheckStatus::kMustLoad);
+  EXPECT_EQ(r.slot, kNoSlot);
+  EXPECT_EQ(fb.entry(5).loader, FbClient::kServe);
+  EXPECT_EQ(fb.entry(5).ref_count, 2u);
+  // A take-over is a serve load, not a serve wait hit, and counts once.
+  const FeatureBufferStats serve = fb.stats(FbClient::kServe);
+  EXPECT_EQ(serve.loads, 1u);
+  EXPECT_EQ(serve.wait_hits, 0u);
+  EXPECT_EQ(b.takeovers(), 1u);
+
+  // Serving loads it; training's reference resolves it like a wait-list
+  // entry and the slot returns to standby after both releases.
+  const SlotId slot = fb.allocate_slot(5, FbClient::kServe);
+  ASSERT_NE(slot, kNoSlot);
+  fb.mark_valid(5);
+  EXPECT_EQ(fb.wait_ready(5, std::chrono::milliseconds(0)), slot);
+  fb.release_one(5);
+  fb.release_one(5);
+  EXPECT_EQ(fb.entry(5).ref_count, 0u);
+  EXPECT_EQ(fb.standby_size(), 4u);
+}
+
+TEST(FeatureBufferTakeOver, NotOnceTheTrainingLoaderHoldsASlot) {
+  TakeOverBuffer b(4);
+  FeatureBuffer& fb = b.fb;
+  fb.check_and_ref(1, FbClient::kTrain);
+  const SlotId slot = fb.allocate_slot(1, FbClient::kTrain);  // read started
+  fb.check_and_ref(2, FbClient::kTrain);                      // not started
+  const NodeId nodes[] = {1, 2};
+  FeatureBuffer::CheckResult res[2];
+  fb.check_and_ref_batch(nodes, 2, res, FbClient::kServe);
+  EXPECT_EQ(res[0].status, FeatureBuffer::CheckStatus::kInFlight);
+  EXPECT_EQ(res[0].slot, slot);
+  EXPECT_EQ(fb.entry(1).loader, FbClient::kTrain);
+  EXPECT_EQ(res[1].status, FeatureBuffer::CheckStatus::kMustLoad);
+  EXPECT_EQ(b.takeovers(), 1u);
+}
+
+TEST(FeatureBufferTakeOver, NotFromServeNorTrainingNorAFailedLoad) {
+  TakeOverBuffer b(4);
+  FeatureBuffer& fb = b.fb;
+  fb.check_and_ref(3, FbClient::kServe);  // another serve worker's load
+  fb.check_and_ref(4, FbClient::kTrain);
+  fb.mark_failed(4);                      // failed before its slot
+  fb.check_and_ref(5, FbClient::kTrain);  // unstarted training load
+  // A second training lookup never takes over.
+  EXPECT_EQ(fb.check_and_ref(5, FbClient::kTrain).status,
+            FeatureBuffer::CheckStatus::kInFlight);
+  const NodeId nodes[] = {3, 4, 5};
+  FeatureBuffer::CheckResult res[3];
+  fb.check_and_ref_batch(nodes, 3, res, FbClient::kServe);
+  EXPECT_EQ(res[0].status, FeatureBuffer::CheckStatus::kInFlight);
+  EXPECT_EQ(res[1].status, FeatureBuffer::CheckStatus::kInFlight);
+  EXPECT_EQ(res[2].status, FeatureBuffer::CheckStatus::kMustLoad);
+  EXPECT_EQ(fb.entry(3).loader, FbClient::kServe);
+  EXPECT_EQ(fb.entry(4).loader, FbClient::kTrain);
+  EXPECT_EQ(b.takeovers(), 1u);
+  // The failed node still reports its failure to the serve waiter.
+  EXPECT_EQ(fb.wait_ready(4, std::chrono::milliseconds(0)), kNoSlot);
+}
+
+TEST(FeatureBufferTakeOver, TrainingAllocateSlotsHandsTakenNodeBack) {
+  auto fb = make_buffer(2, 10);
+  // An earlier training batch holds node 9 in one slot.
+  fb.check_and_ref(9, FbClient::kTrain);
+  const SlotId slot9 = fb.allocate_slot(9, FbClient::kTrain);
+  fb.mark_valid(9);
+  const NodeId nodes[] = {1, 3, 2};
+  FeatureBuffer::CheckResult res[3];
+  fb.check_and_ref_batch(nodes, 3, res, FbClient::kTrain);
+  // Serving takes 1 and 3 over and holds the other slot for 3.
+  fb.check_and_ref(1, FbClient::kServe);
+  fb.check_and_ref(3, FbClient::kServe);
+  const SlotId slot3 = fb.allocate_slot(3, FbClient::kServe);
+  ASSERT_NE(slot3, kNoSlot);
+  ASSERT_EQ(fb.standby_size(), 0u);
+
+  // Training's batched allocation hands both taken nodes back without a
+  // slot and without waiting; only node 2 waits for a standby slot.
+  SlotId slots[3] = {0, 0, 0};
+  std::thread trainer(
+      [&] { fb.allocate_slots(nodes, 3, slots, FbClient::kTrain); });
+  const TimePoint deadline = Clock::now() + std::chrono::seconds(10);
+  while (fb.stats().slot_waits == 0 && Clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(fb.stats().slot_waits, 1u);
+  fb.release_one(9);  // the earlier batch retires its slot
+  trainer.join();
+  EXPECT_EQ(slots[0], kNoSlot);
+  EXPECT_EQ(slots[1], kNoSlot);
+  EXPECT_EQ(slots[2], slot9);
+  fb.mark_valid(2);
+
+  // Serving loads 3, and its load of 1 fails for good. Training's waits
+  // see both outcomes.
+  fb.mark_valid(3);
+  fb.mark_failed(1);
+  EXPECT_EQ(fb.wait_ready(3, std::chrono::milliseconds(0)), slot3);
+  EXPECT_EQ(fb.wait_ready(1, std::chrono::milliseconds(0)), kNoSlot);
+  const std::vector<NodeId> serve_nodes = {1, 3};
+  fb.release(serve_nodes);
+  EXPECT_TRUE(fb.entry(1).failed);  // training still holds a reference
+  fb.release(std::vector<NodeId>(std::begin(nodes), std::end(nodes)));
+  // The failed entry resets at its last release; nothing leaks.
+  const auto e = fb.entry(1);
+  EXPECT_EQ(e.ref_count, 0u);
+  EXPECT_FALSE(e.failed);
+  EXPECT_EQ(e.slot, kNoSlot);
+  EXPECT_EQ(fb.standby_size(), 2u);
+}
+
+TEST(FeatureBufferTakeOver, TrainingWaitingForASlotYieldsTheTakenNode) {
+  TakeOverBuffer b(2);
+  FeatureBuffer& fb = b.fb;
+  // An earlier training batch holds both slots.
+  const std::vector<NodeId> earlier = {8, 9};
+  for (const NodeId v : earlier) {
+    fb.check_and_ref(v, FbClient::kTrain);
+    fb.allocate_slot(v, FbClient::kTrain);
+    fb.mark_valid(v);
+  }
+  const auto await_slot_waits = [&](std::uint64_t n) {
+    const TimePoint deadline = Clock::now() + std::chrono::seconds(10);
+    while (fb.stats().slot_waits < n && Clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return fb.stats().slot_waits;
+  };
+
+  // Training triaged node 1 and blocks allocating its slot.
+  const NodeId node = 1;
+  fb.check_and_ref(node, FbClient::kTrain);
+  SlotId train_slot = 0;
+  std::thread trainer(
+      [&] { fb.allocate_slots(&node, 1, &train_slot, FbClient::kTrain); });
+  EXPECT_EQ(await_slot_waits(1), 1u);
+  // Serving takes node 1 over while training waits, then blocks allocating
+  // it as well.
+  EXPECT_EQ(fb.check_and_ref(node, FbClient::kServe).status,
+            FeatureBuffer::CheckStatus::kMustLoad);
+  EXPECT_EQ(b.takeovers(), 1u);
+  SlotId serve_slot = kNoSlot;
+  std::thread server(
+      [&] { serve_slot = fb.allocate_slot(node, FbClient::kServe); });
+  EXPECT_EQ(await_slot_waits(2), 2u);
+  // Both slots come back at once: only serving may take one for node 1.
+  fb.release(earlier);
+  trainer.join();
+  server.join();
+  EXPECT_EQ(train_slot, kNoSlot);
+  ASSERT_NE(serve_slot, kNoSlot);
+  EXPECT_EQ(fb.entry(node).slot, serve_slot);
+  EXPECT_EQ(fb.reverse(serve_slot), node);
+  // Node 1 holds one slot, the other is on standby: nothing leaked.
+  EXPECT_EQ(fb.standby_size() + 1, fb.num_slots());
+
+  fb.mark_valid(node);
+  EXPECT_EQ(fb.wait_ready(node, std::chrono::milliseconds(0)), serve_slot);
+  fb.release_one(node);
+  fb.release_one(node);
+  EXPECT_EQ(fb.entry(node).ref_count, 0u);
+  EXPECT_EQ(fb.standby_size(), fb.num_slots());
 }
 
 // ---- Concurrent stress: Ne extractor threads with the minimum Ne x Mb

@@ -54,7 +54,9 @@ TEST(TelemetryViews, EveryReportIsARegistryDiff) {
   cfg.common.sampler.fanouts = {10, 10};
   cfg.common.batch_seeds = 64;
   cfg.cache.policy = CachePolicy::kHotness;  // hot hits on both clients
-  cfg.cache.hot_fraction = 0.2;
+  // A small hot set leaves most rows to load, so serving meets training
+  // loads it can take over.
+  cfg.cache.hot_fraction = 0.02;
   GnnDrive system(ctx, cfg);
 
   ServeConfig scfg;
@@ -128,6 +130,12 @@ TEST(TelemetryViews, EveryReportIsARegistryDiff) {
   };
   expect_fb("train", fb.stats(FbClient::kTrain), train0);
   expect_fb("serve", fb.stats(FbClient::kServe), serve0);
+  // Reads deliver every load once: a training load that serving took over
+  // is read by serving, so rows read = training loads + serve loads -
+  // take-overs (docs/observability.md).
+  EXPECT_EQ(delta("io.coalesce.rows"), delta("fb.train.loads") +
+                                           delta("fb.serve.loads") -
+                                           delta("fb.serve.takeovers"));
 
   // Serving report.
   const ServeReport rep = engine.report();
