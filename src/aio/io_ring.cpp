@@ -29,7 +29,7 @@ IoRing::IoRing(SsdDevice& ssd, IoRingConfig config, PageCache* cache,
 IoRing::~IoRing() {
   // Device completions capture `this`; wait for them before tearing down.
   std::unique_lock lock(mu_);
-  all_done_.wait(lock, [&] { return in_flight_ == 0 && draining_ == 0; });
+  all_done_.wait(lock, [&] { return in_flight_ == 0; });
 }
 
 bool IoRing::prep_read(std::uint64_t offset, std::uint32_t len, void* buf,
@@ -48,91 +48,91 @@ bool IoRing::prep_write(std::uint64_t offset, std::uint32_t len,
 }
 
 void IoRing::complete(std::uint64_t ring_id, std::int32_t res) {
-  std::uint64_t user_data;
-  TimePoint submitted_at;
-  {
-    std::lock_guard lock(mu_);
-    auto it = inflight_.find(ring_id);
-    if (it == inflight_.end()) return;  // cancelled by the watchdog
-    user_data = it->second.user_data;
-    submitted_at = it->second.submitted_at;
-    inflight_.erase(it);
-    cq_.push_back(Cqe{user_data, res});
-    --in_flight_;
-    ++draining_;  // holds the destructor open past the touches below
-  }
-  m_latency_->add_us(
-      std::chrono::duration<double, std::micro>(Clock::now() - submitted_at)
-          .count());
+  // One lock acquisition. The instruments are touched inside it too: once
+  // in_flight_ reaches zero the destructor may run (and free an owned
+  // registry) as soon as this thread lets go of the lock, and the notifies
+  // stay under it so a woken waiter cannot destroy the condvars mid-notify.
+  std::lock_guard lock(mu_);
+  auto it = inflight_.find(ring_id);
+  if (it == inflight_.end()) return;  // cancelled by the watchdog
+  cq_.push_back(Cqe{it->second.user_data, res});
+  m_latency_->add_us(std::chrono::duration<double, std::micro>(
+                         Clock::now() - it->second.submitted_at)
+                         .count());
+  inflight_.erase(it);
   m_inflight_->sub(1);
   if (res < 0) m_io_errors_->add();
-  // draining_ == 0 releases the destructor, so the decrement must be this
-  // thread's last touch of the ring — and both notifies stay under the lock
-  // so a woken waiter cannot destroy the condvars mid-notify.
-  std::lock_guard lock(mu_);
   cq_ready_.notify_one();
-  --draining_;
-  if (in_flight_ == 0 && draining_ == 0) all_done_.notify_all();
+  if (--in_flight_ == 0) all_done_.notify_all();
 }
 
-void IoRing::submit_one(const Sqe& sqe) {
-  std::uint64_t ring_id;
-  {
-    std::lock_guard lock(mu_);
-    ring_id = next_ring_id_++;
-    inflight_[ring_id] = InFlight{sqe.user_data, 0, Clock::now()};
-  }
+std::uint64_t IoRing::submit_one(const Sqe& sqe, std::uint64_t ring_id) {
   if (config_.direct &&
       (sqe.offset % kSectorSize != 0 || sqe.len % kSectorSize != 0)) {
     // O_DIRECT alignment violation: fail the request like the kernel would,
     // without touching the device.
     complete(ring_id, -EINVAL);
-    return;
+    return 0;
   }
   if (sqe.len == 0 || (config_.max_transfer_bytes != 0 &&
                        sqe.len > config_.max_transfer_bytes)) {
     // Degenerate or oversized request (a coalescing-planner bug would show
     // up here): fail it before it can overrun the caller's buffer.
     complete(ring_id, -EINVAL);
-    return;
+    return 0;
   }
   if (!config_.direct && sqe.op == SsdDevice::Op::kRead &&
       cache_->try_read_resident(sqe.offset, sqe.len, sqe.buf)) {
     // Buffered read fully served by the page cache: completes immediately.
     complete(ring_id, static_cast<std::int32_t>(sqe.len));
-    return;
+    return 0;
   }
   const bool buffered = !config_.direct;
   const auto offset = sqe.offset;
   const auto len = sqe.len;
-  const std::uint64_t token = ssd_.submit(
+  return ssd_.submit(
       sqe.op, sqe.offset, sqe.len, sqe.buf,
       [this, buffered, offset, len, ring_id](std::int32_t res) {
         if (buffered && res >= 0) cache_->note_resident(offset, len);
         complete(ring_id, res);
       },
       config_.io_class);
-  {
-    // The completion may already have fired and erased the entry; only a
-    // still-live entry learns its device token (needed for cancellation).
-    std::lock_guard lock(mu_);
-    auto it = inflight_.find(ring_id);
-    if (it != inflight_.end()) it->second.device_token = token;
-  }
 }
 
 unsigned IoRing::submit() {
-  const unsigned n = static_cast<unsigned>(staged_.size());
+  const auto n = static_cast<unsigned>(staged_.size());
+  if (n == 0) return 0;
+  // Two lock acquisitions per call, whatever its size: one registers every
+  // staged request, one records the device tokens after the device calls.
+  // A request without its token yet (0) sits out cancel_expired.
+  std::uint64_t first_id;
   {
     std::lock_guard lock(mu_);
+    first_id = next_ring_id_;
+    next_ring_id_ += n;
+    const TimePoint now = Clock::now();
+    for (unsigned k = 0; k < n; ++k) {
+      inflight_[first_id + k] = InFlight{staged_[k].user_data, 0, now};
+    }
     in_flight_ += n;
-  }
-  if (n > 0) {
     m_submitted_->add(n);
     m_inflight_->add(n);
   }
-  for (const Sqe& sqe : staged_) submit_one(sqe);
+  tokens_.resize(n);
+  for (unsigned k = 0; k < n; ++k) {
+    tokens_[k] = submit_one(staged_[k], first_id + k);
+  }
   staged_.clear();
+  {
+    // A completion may already have erased its entry; only a still-live
+    // entry learns its device token (needed for cancellation).
+    std::lock_guard lock(mu_);
+    for (unsigned k = 0; k < n; ++k) {
+      if (tokens_[k] == 0) continue;
+      auto it = inflight_.find(first_id + k);
+      if (it != inflight_.end()) it->second.device_token = tokens_[k];
+    }
+  }
   return n;
 }
 
@@ -162,7 +162,7 @@ unsigned IoRing::cancel_expired(Duration timeout) {
       cq_.push_back(Cqe{it->second.user_data, -ETIMEDOUT});
       inflight_.erase(it);
       --in_flight_;
-      if (in_flight_ == 0 && draining_ == 0) all_done_.notify_all();
+      if (in_flight_ == 0) all_done_.notify_all();
     }
     m_latency_->add_us(
         std::chrono::duration<double, std::micro>(Clock::now() - submitted_at)

@@ -113,7 +113,9 @@ class IoRing : NonCopyable {
   };
 
   void complete(std::uint64_t ring_id, std::int32_t res);
-  void submit_one(const Sqe& sqe);
+  /// Hands one registered request to the device (or fails/serves it at
+  /// once); returns its device token, 0 when the device never saw it.
+  std::uint64_t submit_one(const Sqe& sqe, std::uint64_t ring_id);
 
   SsdDevice& ssd_;
   const IoRingConfig config_;
@@ -121,6 +123,7 @@ class IoRing : NonCopyable {
   Telemetry* telemetry_;
 
   std::vector<Sqe> staged_;
+  std::vector<std::uint64_t> tokens_;  ///< submit() scratch, by staged index
 
   mutable std::mutex mu_;
   std::condition_variable cq_ready_;
@@ -129,7 +132,6 @@ class IoRing : NonCopyable {
   std::unordered_map<std::uint64_t, InFlight> inflight_;  ///< by ring id
   std::uint64_t next_ring_id_ = 1;
   unsigned in_flight_ = 0;
-  unsigned draining_ = 0;  ///< device callbacks still inside complete()
 
   // Observability, resolved from the telemetry's registry or from
   // owned_metrics_. Rings sharing a Telemetry share the instruments:

@@ -4,7 +4,9 @@
 //
 //   * simulate_lru      — mirrors the FeatureBuffer's standby discipline
 //                         (nodes of the in-flight batch are referenced and
-//                         unevictable; retired slots rejoin at the MRU end),
+//                         unevictable; retired slots rejoin at the MRU end)
+//                         without its look-ahead: no wanted tier and no
+//                         rides, so the live buffer's hit rate can exceed it,
 //   * simulate_hotness  — a pinned always-resident hot set over an LRU cold
 //                         remainder of (slots - |hot|),
 //   * simulate_belady   — Belady's optimal replacement: evict the resident
@@ -50,8 +52,10 @@ struct CacheSimResult {
   }
 };
 
-/// LRU with the FeatureBuffer's batch semantics. Requires `slots` to cover
-/// the largest batch (the real buffer's deadlock-freedom precondition).
+/// LRU with the FeatureBuffer's batch semantics, modelling the standby list
+/// without look-ahead (no hints from queued batches, no rides). Requires
+/// `slots` to cover the largest batch (the real buffer's deadlock-freedom
+/// precondition).
 CacheSimResult simulate_lru(const AccessTrace& trace, std::uint64_t slots);
 
 /// Pinned hot set + LRU over the remaining (slots - hot.size()) slots.

@@ -1,9 +1,11 @@
 #include "core/extract.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <condition_variable>
 #include <cstring>
+#include <memory>
 #include <mutex>
 #include <thread>
 
@@ -327,10 +329,33 @@ bool extract_load_set(SampledBatch& batch,
   struct TransferTracker {
     std::mutex m;
     std::condition_variable cv;
-    std::vector<std::uint32_t> rows_left;  ///< pending scatters per segment
-    std::size_t transfers_done = 0;
+    std::size_t segments_done = 0;  ///< segments whose last copy landed
   } tracker;
-  tracker.rows_left.resize(n_planned, 0);
+  // A segment whose rows are copying to the device: its own rows, then its
+  // rides, all marked valid by the copy that lands last, which also hands
+  // its staging bytes back. Kept until the drain below.
+  struct SegmentCopies {
+    std::vector<NodeId> nodes;
+    std::size_t n_loaded = 0;
+    std::uint64_t offset = 0;
+    std::uint32_t len = 0;
+    std::atomic<std::uint32_t> left{0};
+  };
+  std::vector<std::unique_ptr<SegmentCopies>> copying;
+  const auto segment_copied = [&fb, &tracker, &arena,
+                               g_staging = hooks.staging_in_use](
+                                  SegmentCopies& sc) {
+    if (sc.left.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+    fb.mark_loaded(sc.nodes.data(), sc.n_loaded, sc.nodes.data() + sc.n_loaded,
+                   sc.nodes.size() - sc.n_loaded);
+    std::lock_guard lk(tracker.m);
+    // Released before segments_done moves, so the arena outlives this
+    // touch.
+    arena.release(sc.offset, sc.len);
+    if (g_staging != nullptr) g_staging->sub(sc.len);
+    ++tracker.segments_done;
+    tracker.cv.notify_all();
+  };
 
   std::vector<std::uint64_t> staging_of(n_planned, 0);  ///< arena offsets
   std::vector<std::uint32_t> attempts(n_planned, 0);
@@ -344,7 +369,6 @@ bool extract_load_set(SampledBatch& batch,
   std::size_t next_reread = n_planned;  // first re-read not yet handed out
   std::size_t resolved = 0;  // segments that reached a terminal state
   std::size_t inflight = 0;
-  std::size_t transfers_started = 0;  // row H2D copies handed to the GPU
   bool failed = false;
 
   // Scratch reused per segment for the batched slot allocation.
@@ -352,6 +376,11 @@ bool extract_load_set(SampledBatch& batch,
   std::vector<SlotId> seg_slots;
   // Rows a serve lookup took over before this loop allocated them.
   std::vector<std::uint32_t> taken_idx;
+  // Scratch reused per completed segment: the rows it copies into the
+  // buffer, its own first, then the gap rows it rides.
+  std::vector<NodeId> copy_nodes;
+  std::vector<SlotId> copy_slots;
+  std::vector<std::uint32_t> copy_offsets;  // within the segment
 
   const auto submit_segment = [&](std::size_t s) {
     const TimePoint t = tracing ? Clock::now() : TimePoint{};
@@ -392,12 +421,69 @@ bool extract_load_set(SampledBatch& batch,
     }
     staging_of.resize(plan.segments.size(), 0);
     attempts.resize(plan.segments.size(), 0);
-    {
-      std::lock_guard lk(tracker.m);  // H2D callbacks index rows_left
-      tracker.rows_left.resize(plan.segments.size(), 0);
-    }
     free_staging(s);
     ++resolved;
+  };
+  // The copy list of a completed segment: its own rows, then its
+  // look-ahead rides. A planned training segment rides every other row
+  // lying wholly inside its bytes whose node a queued batch wants and
+  // nobody holds: claimed in one buffer-lock take, only when the lock-free
+  // scan found one, and scattered from the same staging bytes. Serve reads
+  // never ride: their latency would wait on the copies.
+  const auto list_copies = [&](std::size_t s) {
+    const SegmentPlan::Segment& seg = plan.segments[s];
+    copy_nodes.clear();
+    copy_slots.clear();
+    copy_offsets.clear();
+    for (std::uint32_t r = seg.first_row; r < seg.first_row + seg.num_rows;
+         ++r) {
+      const std::uint32_t i = load_idx[plan.rows[r].load_pos];
+      copy_nodes.push_back(batch.nodes[i]);
+      copy_slots.push_back(batch.alias[i]);
+      copy_offsets.push_back(plan.rows[r].seg_offset);
+    }
+    if (policy.client != FbClient::kTrain || s >= n_planned) return;
+    const std::uint64_t seg_end = seg.base + seg.len;
+    const std::uint64_t feat = lay.features_offset;
+    if (seg_end <= feat) return;
+    const std::uint64_t n_rows = lay.features_bytes / row_bytes;
+    std::uint64_t row =
+        seg.base <= feat ? 0 : div_ceil(seg.base - feat, row_bytes);
+    const std::uint64_t end_row =
+        std::min(n_rows, (seg_end - feat) / row_bytes);
+    std::uint32_t own = seg.first_row;  // the segment's rows, by offset
+    for (; row < end_row; ++row) {
+      const std::uint64_t off = feat + row * row_bytes;
+      const auto seg_offset = static_cast<std::uint32_t>(off - seg.base);
+      while (own < seg.first_row + seg.num_rows &&
+             plan.rows[own].seg_offset < seg_offset) {
+        ++own;
+      }
+      if (own < seg.first_row + seg.num_rows &&
+          plan.rows[own].seg_offset == seg_offset) {
+        continue;
+      }
+      const NodeId node = lay.node_at_row(row);
+      if (fb.ride_candidate(node)) {
+        copy_nodes.push_back(node);
+        copy_offsets.push_back(seg_offset);
+      }
+    }
+    const std::size_t n_own = seg.num_rows;
+    if (copy_nodes.size() == n_own) return;
+    copy_slots.resize(copy_nodes.size());
+    fb.claim_rides(copy_nodes.data() + n_own, copy_nodes.size() - n_own,
+                   copy_slots.data() + n_own);
+    std::size_t kept = n_own;
+    for (std::size_t k = n_own; k < copy_nodes.size(); ++k) {
+      if (copy_slots[k] == kNoSlot) continue;
+      copy_nodes[kept] = copy_nodes[k];
+      copy_offsets[kept] = copy_offsets[k];
+      copy_slots[kept++] = copy_slots[k];
+    }
+    copy_nodes.resize(kept);
+    copy_offsets.resize(kept);
+    copy_slots.resize(kept);
   };
   // The next segment waiting for staging bytes: re-reads first, then the
   // plan in order; nullopt when none waits.
@@ -573,34 +659,23 @@ bool extract_load_set(SampledBatch& batch,
     }
     if (attempts[s] > 0) ++counters.io_recovered;
     ++resolved;
+    list_copies(s);
     const std::uint8_t* const seg_base = env.staging_base + staging_of[s];
+    const std::size_t n_own = seg.num_rows;
     if (async_scatter) {
-      {
-        std::lock_guard lk(tracker.m);
-        tracker.rows_left[s] = seg.num_rows;
-      }
-      transfers_started += seg.num_rows;
-      for (std::uint32_t r = seg.first_row;
-           r < seg.first_row + seg.num_rows; ++r) {
-        const NodeId node = batch.nodes[load_idx[plan.rows[r].load_pos]];
-        const SlotId slot = batch.alias[load_idx[plan.rows[r].load_pos]];
-        const std::uint8_t* src = seg_base + plan.rows[r].seg_offset;
+      // One copy per row; the staging bytes recycle, and the rows turn
+      // valid, once the segment's last copy has landed.
+      auto& sc = *copying.emplace_back(std::make_unique<SegmentCopies>());
+      sc.nodes = copy_nodes;
+      sc.n_loaded = n_own;
+      sc.offset = staging_of[s];
+      sc.len = seg.len;
+      sc.left.store(static_cast<std::uint32_t>(sc.nodes.size()),
+                    std::memory_order_relaxed);
+      for (std::size_t k = 0; k < copy_nodes.size(); ++k) {
         env.gpu->memcpy_h2d_async(
-            fb.slot_data(slot), src, row_bytes,
-            [&fb, &tracker, &arena, node, s, offset = staging_of[s],
-             len = seg.len, g_staging = hooks.staging_in_use] {
-              fb.mark_valid(node);
-              std::lock_guard lk(tracker.m);
-              // The staging bytes recycle only after every row of their
-              // segment has left them; released before transfers_done
-              // moves, so the arena outlives this touch.
-              if (--tracker.rows_left[s] == 0) {
-                arena.release(offset, len);
-                if (g_staging != nullptr) g_staging->sub(len);
-              }
-              ++tracker.transfers_done;
-              tracker.cv.notify_all();
-            });
+            fb.slot_data(copy_slots[k]), seg_base + copy_offsets[k], row_bytes,
+            [&segment_copied, sc = &sc] { segment_copied(*sc); });
       }
     } else {
       // CPU training/serving keeps the feature buffer in host memory: a
@@ -608,10 +683,8 @@ bool extract_load_set(SampledBatch& batch,
       // memory: one on-device copy kernel places all of its rows. Either
       // way the staging bytes recycle at once.
       const auto scatter = [&] {
-        for (std::uint32_t r = seg.first_row;
-             r < seg.first_row + seg.num_rows; ++r) {
-          const SlotId slot = batch.alias[load_idx[plan.rows[r].load_pos]];
-          std::memcpy(fb.slot_data(slot), seg_base + plan.rows[r].seg_offset,
+        for (std::size_t k = 0; k < copy_nodes.size(); ++k) {
+          std::memcpy(fb.slot_data(copy_slots[k]), seg_base + copy_offsets[k],
                       row_bytes);
         }
       };
@@ -620,21 +693,19 @@ bool extract_load_set(SampledBatch& batch,
       } else {
         scatter();
       }
-      for (std::uint32_t r = seg.first_row;
-           r < seg.first_row + seg.num_rows; ++r) {
-        fb.mark_valid(batch.nodes[load_idx[plan.rows[r].load_pos]]);
-      }
+      fb.mark_loaded(copy_nodes.data(), n_own, copy_nodes.data() + n_own,
+                     copy_nodes.size() - n_own);
       free_staging(s);
     }
   }
 
   // Always drain transfers — their callbacks touch this stack frame.
-  if (async_scatter && transfers_started > 0) {
+  if (!copying.empty()) {
     ScopedTrace st(env.telemetry, TraceCat::kIoWait);
     const TimePoint tw = tracing ? Clock::now() : TimePoint{};
     std::unique_lock lk(tracker.m);
     tracker.cv.wait(
-        lk, [&] { return tracker.transfers_done == transfers_started; });
+        lk, [&] { return tracker.segments_done == copying.size(); });
     if (tracing) trace->copy_wait_ns += elapsed_ns(tw, Clock::now());
   }
   // Taken-over rows resolve like the wait list, after this batch's own

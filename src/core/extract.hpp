@@ -27,6 +27,11 @@
 // The rest of the batch still loads: other batches may wait on those rows.
 // Rows that serving took over from a training load set (see
 // core/feature_buffer.hpp) are skipped and waited on at the end.
+// A planned training segment that completes also *rides* the rows in its
+// gap bytes that a batch waiting in the extract queue wants: they are
+// claimed (FeatureBuffer::claim_rides, only when a lock-free scan found
+// one) and scattered from the same staging bytes, so that batch finds them
+// buffered. Serve reads, failed segments and re-reads carry no rides.
 // `coalesce.enabled = false` degenerates to one single-row segment per node
 // — the planner and loop are the same code, so the A/B toggle compares pure
 // I/O shapes.
@@ -255,7 +260,8 @@ void triage_batch(FeatureBuffer& fb, SampledBatch& batch,
 
 /// Algorithm 1 pass 2 over `load_idx`: plan segments, allocate slots
 /// (batched, one lock take per segment) and staging bytes, submit
-/// asynchronous reads, scatter completed rows into the feature buffer,
+/// asynchronous reads, scatter completed rows — and, for a training client,
+/// the wanted gap rows they carried — into the feature buffer,
 /// retry transient failures per segment, re-read the rows of a segment that
 /// failed for good one by one, and drain all transfers before
 /// returning. A row that a serve lookup took over before it got a slot

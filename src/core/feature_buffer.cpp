@@ -1,5 +1,6 @@
 #include "core/feature_buffer.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -35,7 +36,9 @@ FeatureBuffer::FeatureBuffer(const FeatureBufferConfig& config,
       map_(num_nodes),
       reverse_(config.num_slots, kInvalidNode),
       standby_(config.num_slots),
-      storage_(config.num_slots * config.row_floats, 0.0f) {
+      standby_wanted_(config.num_slots),
+      storage_(config.num_slots * config.row_floats, 0.0f),
+      rideable_(std::make_unique<std::atomic<bool>[]>(num_nodes)) {
   // All slots start free: populate the standby list in slot order.
   for (std::uint64_t s = 0; s < num_slots_; ++s) {
     standby_.push_mru(static_cast<std::uint32_t>(s));
@@ -51,6 +54,7 @@ FeatureBuffer::FeatureBuffer(const FeatureBufferConfig& config,
   slot_waits_ = &reg.counter("fb.slot_waits");
   failed_loads_ = &reg.counter("fb.failed_loads");
   takeovers_ = &reg.counter("fb.serve.takeovers");
+  prefetches_ = &reg.counter("fb.prefetches");
   evictions_ = &reg.counter("fb.evictions");
   batch_locks_ = &reg.counter("fb.batch_lock_acquisitions");
   standby_gauge_ = &reg.gauge("fb.standby");
@@ -61,7 +65,37 @@ FeatureBuffer::FeatureBuffer(const FeatureBufferConfig& config,
 }
 
 void FeatureBuffer::publish_standby_locked() {
-  standby_gauge_->set(static_cast<std::int64_t>(standby_.size()));
+  standby_gauge_->set(static_cast<std::int64_t>(standby_size_locked()));
+}
+
+void FeatureBuffer::sync_rideable_locked(NodeId node) {
+  const Entry& e = map_[node];
+  const bool rideable = e.want > 0 && e.ref_count == 0 && !e.valid && !e.pinned;
+  if (rideable_[node].load(std::memory_order_relaxed) != rideable) {
+    rideable_[node].store(rideable, std::memory_order_relaxed);
+  }
+}
+
+std::uint32_t FeatureBuffer::take_standby_locked(bool wanted_ok) {
+  IndexedLruList* tier = &standby_;
+  if (tier->empty()) {
+    if (!wanted_ok || standby_wanted_.empty()) return IndexedLruList::kNil;
+    tier = &standby_wanted_;
+  }
+  const std::uint32_t slot = tier->pop_lru();
+  publish_standby_locked();
+  const NodeId prev = reverse_[slot];
+  if (prev != kInvalidNode) {
+    // Lazy invalidation of the slot's previous occupant (Fig. 6, step 4).
+    GD_CHECK_MSG(map_[prev].ref_count == 0,
+                 "standby slot owner had live references");
+    map_[prev].valid = false;
+    map_[prev].slot = kNoSlot;
+    reverse_[slot] = kInvalidNode;
+    evictions_->add();
+    sync_rideable_locked(prev);
+  }
+  return slot;
 }
 
 FeatureBuffer::CheckResult FeatureBuffer::check_and_ref(NodeId node,
@@ -99,7 +133,7 @@ FeatureBuffer::CheckResult FeatureBuffer::check_and_ref_locked(
     if (e.ref_count == 0) {
       // Retired but still buffered: pull its slot out of the standby list
       // so it cannot be reused from under us.
-      standby_.remove(static_cast<std::uint32_t>(e.slot));
+      tier_for(node).remove(static_cast<std::uint32_t>(e.slot));
       publish_standby_locked();
     }
     counts.reuse_hits->add();
@@ -126,7 +160,7 @@ FeatureBuffer::CheckResult FeatureBuffer::check_and_ref_locked(
     counts.wait_hits->add();
     result = {CheckStatus::kInFlight, e.slot};
   }
-  ++e.ref_count;
+  if (++e.ref_count == 1) sync_rideable_locked(node);
   return result;
 }
 
@@ -153,37 +187,23 @@ SlotId FeatureBuffer::allocate_slot_locked(std::unique_lock<std::mutex>& lock,
   if (e.loader != client) return kNoSlot;
   GD_CHECK_MSG(!e.valid && e.slot == kNoSlot,
                "allocate_slot on node not in kMustLoad state");
-  if (standby_.empty()) {
+  if (standby_size_locked() == 0) {
     slot_waits_->add();
     // A serve lookup may take the load over while this waits.
-    slot_available_.wait(
-        lock, [&] { return !standby_.empty() || e.loader != client; });
+    slot_available_.wait(lock, [&] {
+      return standby_size_locked() > 0 || e.loader != client;
+    });
     if (e.loader != client) return kNoSlot;
   }
-  const std::uint32_t slot = standby_.pop_lru();
-  publish_standby_locked();
-  const NodeId prev = reverse_[slot];
-  if (prev != kInvalidNode) {
-    // Lazy invalidation of the slot's previous occupant (Fig. 6, step 4).
-    GD_CHECK_MSG(map_[prev].ref_count == 0,
-                 "standby slot owner had live references");
-    map_[prev].valid = false;
-    map_[prev].slot = kNoSlot;
-    evictions_->add();
-  }
+  // A slot some queued batch still wants goes only when no other is left.
+  const std::uint32_t slot = take_standby_locked(/*wanted_ok=*/true);
   reverse_[slot] = node;
   e.slot = static_cast<SlotId>(slot);
   return e.slot;
 }
 
 void FeatureBuffer::mark_valid(NodeId node) {
-  {
-    std::lock_guard lock(mu_);
-    Entry& e = map_[node];
-    GD_CHECK_MSG(e.slot != kNoSlot, "mark_valid without a slot");
-    e.valid = true;
-  }
-  became_valid_.notify_all();
+  mark_loaded(&node, 1, nullptr, 0);
 }
 
 void FeatureBuffer::mark_failed(NodeId node) {
@@ -214,6 +234,73 @@ std::optional<SlotId> FeatureBuffer::wait_ready(NodeId node,
   return map_[node].valid ? map_[node].slot : kNoSlot;
 }
 
+void FeatureBuffer::want(const std::vector<NodeId>& nodes, int delta) {
+  GD_CHECK_MSG(delta == 1 || delta == -1, "want: delta must be +1 or -1");
+  std::lock_guard lock(mu_);
+  batch_locks_->add();
+  for (const NodeId node : nodes) {
+    Entry& e = map_[node];
+    if (e.pinned) continue;  // never evicted, never loaded: nothing to hint
+    GD_CHECK_MSG(delta > 0 || e.want > 0, "want: hint dropped twice");
+    const bool was = e.want > 0;
+    e.want += static_cast<std::uint32_t>(delta);
+    if (was == (e.want > 0)) continue;
+    if (e.ref_count == 0 && e.slot != kNoSlot) {
+      // A retired slot changes tier with its node's first or last hint.
+      IndexedLruList& from = was ? standby_wanted_ : standby_;
+      from.remove(static_cast<std::uint32_t>(e.slot));
+      tier_for(node).push_mru(static_cast<std::uint32_t>(e.slot));
+    }
+    sync_rideable_locked(node);
+  }
+}
+
+std::size_t FeatureBuffer::claim_rides(const NodeId* nodes, std::size_t n,
+                                       SlotId* out) {
+  std::fill(out, out + n, kNoSlot);
+  std::size_t claimed = 0;
+  std::lock_guard lock(mu_);
+  batch_locks_->add();
+  for (std::size_t i = 0; i < n; ++i) {
+    Entry& e = map_[nodes[i]];
+    if (e.want == 0 || e.ref_count > 0 || e.valid || e.pinned) continue;
+    const std::uint32_t slot = take_standby_locked(/*wanted_ok=*/false);
+    if (slot == IndexedLruList::kNil) break;  // the rest stay unclaimed
+    reverse_[slot] = nodes[i];
+    e.slot = static_cast<SlotId>(slot);
+    e.ref_count = 1;
+    e.loader = FbClient::kTrain;
+    sync_rideable_locked(nodes[i]);
+    out[i] = e.slot;
+    ++claimed;
+  }
+  prefetches_->add(claimed);
+  return claimed;
+}
+
+void FeatureBuffer::mark_loaded(const NodeId* loaded, std::size_t n_loaded,
+                                const NodeId* rides, std::size_t n_rides) {
+  bool freed = false;
+  {
+    std::lock_guard lock(mu_);
+    for (std::size_t i = 0; i < n_loaded; ++i) {
+      Entry& e = map_[loaded[i]];
+      GD_CHECK_MSG(e.slot != kNoSlot, "mark_loaded without a slot");
+      e.valid = true;
+    }
+    for (std::size_t i = 0; i < n_rides; ++i) {
+      Entry& e = map_[rides[i]];
+      GD_CHECK_MSG(e.slot != kNoSlot && e.ref_count > 0 && !e.failed,
+                   "mark_loaded ride without a ride claim");
+      e.valid = true;
+      freed |= retire_locked(rides[i]);
+    }
+    if (freed) publish_standby_locked();
+  }
+  became_valid_.notify_all();
+  if (freed) slot_available_.notify_all();
+}
+
 bool FeatureBuffer::retire_locked(NodeId node) {
   GD_DCHECK_MSG(node < map_.size(), "release on out-of-range node");
   Entry& e = map_[node];
@@ -225,25 +312,26 @@ bool FeatureBuffer::retire_locked(NodeId node) {
   // standby list and corrupting whoever reuses it.
   GD_CHECK_MSG(e.ref_count > 0, "release without reference (refcount underflow)");
   if (--e.ref_count != 0) return false;
+  bool freed = false;
   if (e.failed) {
     // Failed load fully resets at the last release: the slot (if one was
     // allocated) returns to standby with no occupant, and the entry goes
     // back to the unbuffered state so a later batch retries from scratch.
-    const bool freed = e.slot != kNoSlot;
+    // Its look-ahead hints belong to the queued batches and stay.
+    freed = e.slot != kNoSlot;
     if (freed) {
       reverse_[static_cast<std::size_t>(e.slot)] = kInvalidNode;
       standby_.push_mru(static_cast<std::uint32_t>(e.slot));
     }
-    e = Entry{};
-    return freed;
-  }
-  if (e.slot != kNoSlot) {
-    // Retired: slot joins the MRU end of the standby list; the mapping
+    e = Entry{.want = e.want};
+  } else if (e.slot != kNoSlot) {
+    // Retired: slot joins the MRU end of its standby tier; the mapping
     // entry stays valid so the node can be reused across mini-batches.
-    standby_.push_mru(static_cast<std::uint32_t>(e.slot));
-    return true;
+    tier_for(node).push_mru(static_cast<std::uint32_t>(e.slot));
+    freed = true;
   }
-  return false;
+  sync_rideable_locked(node);
+  return freed;
 }
 
 void FeatureBuffer::release_one(NodeId node) {
@@ -276,7 +364,7 @@ std::vector<SlotId> FeatureBuffer::pin_hot(
         " nodes) must leave at least one cold slot of " +
         std::to_string(num_slots_));
   }
-  if (standby_.size() != num_slots_ || hot_count_ != 0) {
+  if (standby_size_locked() != num_slots_ || hot_count_ != 0) {
     throw std::logic_error(
         "pin_hot requires an idle feature buffer (all slots on standby, no "
         "prior hot partition)");
@@ -296,11 +384,12 @@ std::vector<SlotId> FeatureBuffer::pin_hot(
   std::vector<SlotId> out;
   out.reserve(hot_nodes.size());
   for (NodeId node : hot_nodes) {
-    const std::uint32_t slot = standby_.pop_lru();
+    const std::uint32_t slot = take_standby_locked(/*wanted_ok=*/true);
     reverse_[slot] = node;
     Entry& e = map_[node];
     e.slot = static_cast<SlotId>(slot);
     e.pinned = true;
+    sync_rideable_locked(node);
     hot_map_[node] = e.slot;
     out.push_back(e.slot);
   }
@@ -341,7 +430,7 @@ NodeId FeatureBuffer::reverse(SlotId slot) const {
 
 std::size_t FeatureBuffer::standby_size() const {
   std::lock_guard lock(mu_);
-  return standby_.size();
+  return standby_size_locked();
 }
 
 FeatureBufferStats FeatureBuffer::stats() const {

@@ -2,22 +2,24 @@
 //
 // Four components, exactly as the paper describes:
 //  * mapping table  — per graph node: {slot index, reference count, valid
-//    bit, loader}. States: (slot=-1, valid=0, ref=0) not buffered;
-//    (slot=-1, valid=0, ref>0) claimed by its loader, read not started;
+//    bit, loader, want count}. States: (slot=-1, valid=0, ref=0) not
+//    buffered; (slot=-1, valid=0, ref>0) claimed by its loader, read not
+//    started;
 //    (slot>=0, valid=0) being extracted by its loader; (slot>=0, valid=1)
 //    ready. (slot=-1, valid=1) is unreachable.
 //  * buffer         — the slot storage itself (device memory for GPU
 //    training, host memory for the CPU variant).
 //  * reverse map    — slot -> node currently occupying it (-1 when empty).
-//  * standby list   — LRU list of slots with zero reference count: free
+//  * standby list   — LRU lists of slots with zero reference count: free
 //    slots plus retired-but-reusable ones. Reusing a slot for a *new* node
 //    lazily invalidates the previous occupant's mapping entry.
 //
 // The two-pass protocol mirrors Algorithm 1: extractors first
 // check_and_ref() every sampled node (reuse / wait-list / to-load triage,
 // reference counts bumped), then allocate_slot() + asynchronous load +
-// mark_valid() for the to-load set, and finally wait_valid() on wait-listed
-// nodes. The releaser calls release() after training.
+// mark_loaded() per completed read for the to-load set, and finally
+// wait_valid() on wait-listed nodes. The releaser calls release() after
+// training.
 //
 // Serve take-over. Each in-flight node records its loader (the FbClient
 // whose lookup claimed it). A serve lookup that finds a node claimed by a
@@ -29,16 +31,28 @@
 // node that already holds a slot, was claimed by another serve lookup, or
 // failed is waited on as before.
 //
+// Look-ahead. Sampled batches waiting in the extract queue announce their
+// nodes with want(nodes, +1) and drop the hint once extracted (or disposed)
+// with want(nodes, -1); the count lives in each mapping entry and holds no
+// reference. The standby list has two tiers: slots whose node no queued
+// batch wants, and slots whose node one does. Allocation takes the LRU slot
+// of the first tier and falls back to the second only when the first is
+// empty, so it blocks exactly where it did with one list. A training read
+// that completes may also *ride* rows it carried in its gap bytes:
+// claim_rides() takes a wanted, unbuffered, unclaimed node with a slot from
+// the unwanted tier only (never blocking), and mark_loaded() marks it valid
+// and drops that reference once its bytes are in the slot (fb.prefetches).
+//
 // Hot partition (src/cache). A hotness-aware policy may pin the top-K nodes
 // by estimated access frequency into a dedicated slot region via pin_hot():
 // pinned slots never enter the standby list, carry no reference counts, and
 // once seal_hot() publishes them they can be resolved lock-free through
 // hot_slot(). The cold remainder keeps the LRU standby discipline below.
 //
-// Thread-safe; allocate_slot() blocks when the standby list is empty until a
-// release arrives. Deadlock freedom requires cold_slots >= Ne x Mb (number
-// of extractors x max nodes per mini-batch, counting only the unpinned
-// region) — enforced by the pipeline and stress-tested.
+// Thread-safe; allocate_slot() blocks when both standby tiers are empty
+// until a release arrives. Deadlock freedom requires cold_slots >= Ne x Mb
+// (number of extractors x max nodes per mini-batch, counting only the
+// unpinned region) — enforced by the pipeline and stress-tested.
 #pragma once
 
 #include <atomic>
@@ -76,7 +90,8 @@ struct FeatureBufferStats {
   std::uint64_t slot_waits = 0;    ///< times allocate_slot had to block
   std::uint64_t failed_loads = 0;  ///< nodes marked failed by an extractor
   /// Mutex acquisitions taken by the batched entry points
-  /// (check_and_ref_batch / allocate_slots / release): together with
+  /// (check_and_ref_batch / allocate_slots / release / want /
+  /// claim_rides; not mark_loaded's completions): together with
   /// `lookups()` this exposes the per-node-lock traffic the batched APIs
   /// eliminated.
   std::uint64_t batch_lock_acquisitions = 0;
@@ -161,6 +176,13 @@ class FeatureBuffer : NonCopyable {
   /// Marks the node's data ready (after load + transfer) and wakes waiters.
   void mark_valid(NodeId node);
 
+  /// One completed read's rows are in their slots: marks `loaded[0..n)`
+  /// valid (their loaders keep their references) and the claimed rides
+  /// `rides[0..n_rides)` valid, dropping each ride's reference, under one
+  /// lock acquisition with one wake-up of the waiters.
+  void mark_loaded(const NodeId* loaded, std::size_t n_loaded,
+                   const NodeId* rides, std::size_t n_rides);
+
   /// Marks a node whose load permanently failed; wakes waiters, which see
   /// kNoSlot from wait_ready(). The node's references stay owed — when the
   /// last one is released the entry fully resets (slot back to standby,
@@ -183,6 +205,29 @@ class FeatureBuffer : NonCopyable {
   /// for potential inter-batch reuse (lazy invalidation).
   void release(const std::vector<NodeId>& nodes);
   void release_one(NodeId node);
+
+  // -- Look-ahead (hints and rides) ------------------------------------------
+  /// Adds `delta` (+1 or -1) to the want count of every unpinned node in
+  /// `nodes` under one lock acquisition, moving zero-reference slots between
+  /// the standby tiers as a count leaves or reaches zero. Dropping a hint
+  /// that was never given fails a GD_CHECK.
+  void want(const std::vector<NodeId>& nodes, int delta);
+
+  /// Lock-free ride pre-check: true when `node` was wanted, unbuffered and
+  /// unclaimed at its last state change. Only a hint for the caller's scan;
+  /// claim_rides() decides under the lock.
+  bool ride_candidate(NodeId node) const {
+    return rideable_[node].load(std::memory_order_relaxed);
+  }
+
+  /// Under one lock acquisition, claims each of `nodes` that is still
+  /// wanted, unbuffered and unclaimed: one reference, loader kTrain, and the
+  /// LRU slot of the unwanted standby tier (evicting its occupant). Never
+  /// blocks and never takes a wanted slot — once the unwanted tier is empty
+  /// the rest get kNoSlot. Writes each node's slot (or kNoSlot) to
+  /// `out[0..n)` and returns the number claimed; each claimed node must be
+  /// finished as a ride by mark_loaded() once its bytes are in its slot.
+  std::size_t claim_rides(const NodeId* nodes, std::size_t n, SlotId* out);
 
   float* slot_data(SlotId slot) {
     return storage_.data() + static_cast<std::size_t>(slot) * row_floats_;
@@ -233,10 +278,13 @@ class FeatureBuffer : NonCopyable {
     /// Who claimed the in-flight load (meaningful while ref_count > 0 and
     /// !valid); a serve take-over moves it from kTrain to kServe.
     FbClient loader = FbClient::kTrain;
+    /// Queued batches holding a look-ahead hint on the node (want()). Not a
+    /// reference: it survives eviction and the failed-entry reset.
+    std::uint32_t want = 0;
   };
   Entry entry(NodeId node) const;
   NodeId reverse(SlotId slot) const;  ///< kInvalidNode when slot is empty
-  std::size_t standby_size() const;
+  std::size_t standby_size() const;  ///< both tiers
   /// Merged view across both clients (lock-free reads of the fb.*
   /// counters).
   FeatureBufferStats stats() const;
@@ -256,6 +304,21 @@ class FeatureBuffer : NonCopyable {
   /// allocate_slot body; may release `lock` to wait for a standby slot.
   SlotId allocate_slot_locked(std::unique_lock<std::mutex>& lock, NodeId node,
                               FbClient client);
+  /// The standby tier for a zero-reference slot holding `node`
+  /// (kInvalidNode: a free slot).
+  IndexedLruList& tier_for(NodeId node) {
+    return node != kInvalidNode && map_[node].want > 0 ? standby_wanted_
+                                                       : standby_;
+  }
+  std::size_t standby_size_locked() const {
+    return standby_.size() + standby_wanted_.size();
+  }
+  /// Pops the LRU slot of the unwanted tier, or of the wanted tier when
+  /// `wanted_ok` and the first is empty, and lazily invalidates its previous
+  /// occupant; kNil when nothing qualifies.
+  std::uint32_t take_standby_locked(bool wanted_ok);
+  /// Refreshes rideable_[node] from its entry.
+  void sync_rideable_locked(NodeId node);
 
   const std::uint64_t num_slots_;
   const std::uint32_t row_floats_;
@@ -266,8 +329,12 @@ class FeatureBuffer : NonCopyable {
 
   std::vector<Entry> map_;            ///< mapping table, per node
   std::vector<NodeId> reverse_;       ///< per slot
-  IndexedLruList standby_;            ///< unpinned slots with refcount == 0
+  IndexedLruList standby_;         ///< zero-reference slots nobody wants
+  IndexedLruList standby_wanted_;  ///< ...whose node a queued batch wants
   std::vector<float> storage_;
+  /// Per node: want > 0, ref_count == 0, !valid, !pinned. Written under mu_
+  /// at every change of those fields, read without it by ride_candidate().
+  std::unique_ptr<std::atomic<bool>[]> rideable_;
 
   // Hot partition. hot_map_ is written only before the release-store of
   // hot_sealed_; readers pair it with an acquire-load in hot_slot(), so the
@@ -290,9 +357,10 @@ class FeatureBuffer : NonCopyable {
   Counter* slot_waits_;       ///< fb.slot_waits
   Counter* failed_loads_;     ///< fb.failed_loads
   Counter* takeovers_;        ///< fb.serve.takeovers
+  Counter* prefetches_;       ///< fb.prefetches (rides claimed)
   Counter* evictions_;        ///< fb.evictions (slot re-assigned)
   Counter* batch_locks_;      ///< fb.batch_lock_acquisitions
-  Gauge* standby_gauge_;      ///< fb.standby (list length)
+  Gauge* standby_gauge_;      ///< fb.standby (both tiers)
   Gauge* hot_slots_gauge_;    ///< fb.hot.slots (pinned region size)
   Gauge* cold_slots_gauge_;   ///< fb.cold.slots (evictable region)
 };

@@ -550,8 +550,16 @@ EpochStats GnnDrive::run_epoch(std::uint64_t epoch) {
   const auto release = [this](auto& item) {
     feature_buffer_->release(item.nodes);
   };
-  auto& extract_q = group.link<SampledBatch>("pipeline.extract_q",
-                                             config_.extract_queue_cap);
+  // A training batch holds look-ahead hints on its nodes from just before
+  // it enters the extract queue until it has been extracted: the feature
+  // buffer keeps their slots longest and training reads ride them in. One
+  // that is never extracted drops its hints here.
+  const auto unwant = [this](SampledBatch& batch) {
+    feature_buffer_->want(batch.nodes, -1);
+  };
+  auto& extract_q = group.link<SampledBatch>(
+      "pipeline.extract_q", config_.extract_queue_cap,
+      training ? Link<SampledBatch>::Dispose(unwant) : nullptr);
   auto& train_q = group.link<SampledBatch>("pipeline.train_q",
                                            config_.train_queue_cap, release);
   auto& release_q = group.link<ReleaseItem>("pipeline.release_q", 16, release);
@@ -576,6 +584,7 @@ EpochStats GnnDrive::run_epoch(std::uint64_t epoch) {
             BusyScope busy(ctx_.telemetry);
             return sampler_.sample(id, batches[b], topo, &ds.labels());
           });
+          if (training) feature_buffer_->want(batch.nodes, +1);
           if (!extract_q.push(std::move(batch))) break;
         }
       },
@@ -591,6 +600,9 @@ EpochStats GnnDrive::run_epoch(std::uint64_t epoch) {
           state.trace = ExtractTrace{tracer != nullptr};
           const bool ok =
               self.time(batch.batch_id, [&] { return state.extract(batch); });
+          // Its nodes are referenced now; the hints are spent. Every path
+          // below moves the nodes on, so a dispose after a throw finds none.
+          unwant(batch);
           record_extract_phases(tracer, batch.batch_id, epoch32, span_base,
                                 state.trace);
           if (ok) {

@@ -1,6 +1,7 @@
 #include "gpu/gpu.hpp"
 
 #include <cstring>
+#include <vector>
 
 namespace gnndrive {
 
@@ -48,15 +49,20 @@ void GpuDevice::memcpy_h2d_async(void* dst, const void* src,
       config_.copy_overhead_us +
       static_cast<double>(bytes) / config_.pcie_bandwidth_mb_s;
   const Duration service = from_us(transfer_us * config_.time_scale);
+  bool was_idle;
   {
     std::lock_guard lock(mu_);
     const TimePoint start = std::max(Clock::now(), engine_free_);
     const TimePoint done = start + service;
     engine_free_ = done;
-    copies_.push(Copy{done, dst, src, bytes, std::move(on_complete)});
+    was_idle = copies_.empty();
+    copies_.push_back(Copy{done, dst, src, bytes, std::move(on_complete)});
     ++in_flight_;
   }
-  cv_.notify_one();
+  // The engine serves copies in submission order, so a copy joining a
+  // non-empty queue is due no earlier than the one the DMA thread already
+  // waits for: only the first of a burst needs to wake it.
+  if (was_idle) cv_.notify_one();
 }
 
 void GpuDevice::memcpy_h2d_sync(void* dst, const void* src,
@@ -85,6 +91,7 @@ void GpuDevice::launch(const std::function<void()>& fn) {
 }
 
 void GpuDevice::dma_loop() {
+  std::vector<Copy> due;
   std::unique_lock lock(mu_);
   for (;;) {
     if (copies_.empty()) {
@@ -92,21 +99,29 @@ void GpuDevice::dma_loop() {
       cv_.wait(lock, [&] { return stop_ || !copies_.empty(); });
       continue;
     }
-    const TimePoint due = copies_.top().done_at;
-    if (Clock::now() < due) {
-      cv_.wait_until(lock, due);
+    const TimePoint now = Clock::now();
+    if (now < copies_.front().done_at) {
+      cv_.wait_until(lock, copies_.front().done_at);
       continue;
     }
-    Copy copy = std::move(const_cast<Copy&>(copies_.top()));
-    copies_.pop();
-    lock.unlock();
-    if (copy.dst != nullptr && copy.bytes > 0) {
-      ScopedTrace trace(telemetry_, TraceCat::kGpuBusy);
-      std::memcpy(copy.dst, copy.src, copy.bytes);
+    // Every copy due by now completes in this pass, in due order, with one
+    // lock acquisition to take them and one to count them done.
+    while (!copies_.empty() && copies_.front().done_at <= now) {
+      due.push_back(std::move(copies_.front()));
+      copies_.pop_front();
     }
-    if (copy.on_complete) copy.on_complete();
+    lock.unlock();
+    for (Copy& copy : due) {
+      if (copy.dst != nullptr && copy.bytes > 0) {
+        ScopedTrace trace(telemetry_, TraceCat::kGpuBusy);
+        std::memcpy(copy.dst, copy.src, copy.bytes);
+      }
+      if (copy.on_complete) copy.on_complete();
+    }
+    const std::size_t n = due.size();
+    due.clear();
     lock.lock();
-    --in_flight_;
+    in_flight_ -= n;
     if (in_flight_ == 0) drained_.notify_all();
   }
 }

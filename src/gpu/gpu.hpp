@@ -20,9 +20,9 @@
 #pragma once
 
 #include <condition_variable>
+#include <deque>
 #include <functional>
 #include <mutex>
-#include <queue>
 #include <thread>
 
 #include "util/common.hpp"
@@ -58,7 +58,9 @@ class GpuDevice : NonCopyable {
 
   // -- Copy engine ----------------------------------------------------------
   /// Asynchronous host-to-device copy: the memcpy and `on_complete` run on
-  /// the DMA thread once the modeled PCIe transfer time elapses.
+  /// the DMA thread once the modeled PCIe transfer time elapses. The DMA
+  /// thread takes every copy due in one pass, in due order, and only a copy
+  /// queued onto an idle engine wakes it.
   void memcpy_h2d_async(void* dst, const void* src, std::uint64_t bytes,
                         std::function<void()> on_complete);
   /// Synchronous copy (PyG+/Ginex-style transfer on the critical path).
@@ -85,9 +87,6 @@ class GpuDevice : NonCopyable {
     const void* src;
     std::uint64_t bytes;
     std::function<void()> on_complete;
-    bool operator>(const Copy& other) const {
-      return done_at > other.done_at;
-    }
   };
 
   void dma_loop();
@@ -98,7 +97,9 @@ class GpuDevice : NonCopyable {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::condition_variable drained_;
-  std::priority_queue<Copy, std::vector<Copy>, std::greater<>> copies_;
+  /// In submission order, which is due order: each copy starts when the
+  /// engine frees, so done_at never decreases along the queue.
+  std::deque<Copy> copies_;
   TimePoint engine_free_;
   std::size_t in_flight_ = 0;
   std::uint64_t allocated_ = 0;

@@ -109,6 +109,10 @@ struct OnDiskLayout {
   std::uint64_t feature_offset_of(NodeId v) const {
     return features_offset + feature_row_of(v) * feature_row_bytes;
   }
+  /// Node stored at physical feature row `row` (the plan's inverse).
+  NodeId node_at_row(std::uint64_t row) const {
+    return row_perm != nullptr ? plan->inv[row] : static_cast<NodeId>(row);
+  }
   /// Byte offset of a *physical* row index (bulk/partition readers that
   /// iterate the packed store directly, e.g. MariusGNN partition loads).
   std::uint64_t feature_offset_of_row(std::uint64_t row) const {

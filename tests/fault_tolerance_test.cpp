@@ -68,12 +68,15 @@ struct FaultSoak : ::testing::Test {
     return cfg;
   }
 
-  // Post-epoch resource invariants: every reference released, every slot
-  // back on the standby list — regardless of how many batches failed.
+  // Post-epoch resource invariants: every reference released (ride
+  // references included), every look-ahead hint dropped, every slot back on
+  // the standby list — regardless of how many batches failed.
   static void expect_no_leaks(GnnDrive& system) {
     for (NodeId v = 0; v < dataset->spec().num_nodes; ++v) {
       ASSERT_EQ(system.feature_buffer().entry(v).ref_count, 0u)
           << "leaked reference on node " << v;
+      ASSERT_EQ(system.feature_buffer().entry(v).want, 0u)
+          << "leaked look-ahead hint on node " << v;
     }
     EXPECT_EQ(system.feature_buffer().standby_size(),
               system.feature_buffer().num_slots());

@@ -3,6 +3,7 @@
 // reserve.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 
@@ -372,6 +373,166 @@ TEST(FeatureBufferTakeOver, TrainingWaitingForASlotYieldsTheTakenNode) {
   EXPECT_EQ(fb.standby_size(), fb.num_slots());
 }
 
+// ---- Look-ahead: hints from queued batches (two standby tiers) and rides.
+
+/// Loads `v` into the buffer and retires it to standby, still valid.
+void load_and_retire(FeatureBuffer& fb, NodeId v) {
+  ASSERT_EQ(fb.check_and_ref(v).status, FeatureBuffer::CheckStatus::kMustLoad);
+  ASSERT_NE(fb.allocate_slot(v), kNoSlot);
+  fb.mark_valid(v);
+  fb.release_one(v);
+}
+
+TEST(FeatureBufferLookAhead, UnwantedStandbySlotsAreEvictedFirst) {
+  auto fb = make_buffer(3, 20);
+  for (NodeId v = 0; v < 3; ++v) load_and_retire(fb, v);  // LRU: 0, 1, 2
+  fb.want({0}, +1);  // a queued batch holds node 0
+  EXPECT_EQ(fb.entry(0).want, 1u);
+  // Node 0's slot is the least recently used, but a queued batch wants it:
+  // the next two loads evict the unwanted 1 and 2 instead.
+  fb.check_and_ref(10);
+  EXPECT_NE(fb.allocate_slot(10), kNoSlot);
+  fb.check_and_ref(11);
+  fb.allocate_slot(11);
+  EXPECT_TRUE(fb.entry(0).valid);
+  EXPECT_FALSE(fb.entry(1).valid);
+  EXPECT_FALSE(fb.entry(2).valid);
+  // The queued batch triages node 0 as a reuse hit.
+  EXPECT_EQ(fb.check_and_ref(0).status, FeatureBuffer::CheckStatus::kReady);
+  fb.want({0}, -1);
+  EXPECT_EQ(fb.entry(0).want, 0u);
+}
+
+TEST(FeatureBufferLookAhead, WantedSlotIsStillHandedOutWhenTheOnlyOneLeft) {
+  auto fb = make_buffer(2, 20);
+  load_and_retire(fb, 0);
+  load_and_retire(fb, 1);
+  fb.want({0, 1}, +1);
+  // Only wanted slots are left: allocation takes the LRU one without
+  // blocking, exactly as it would have with a single list.
+  fb.check_and_ref(5);
+  const SlotId slot = fb.allocate_slot(5);
+  EXPECT_NE(slot, kNoSlot);
+  EXPECT_EQ(fb.stats().slot_waits, 0u);
+  EXPECT_FALSE(fb.entry(0).valid);
+  EXPECT_TRUE(fb.entry(1).valid);
+  EXPECT_EQ(fb.standby_size(), 1u);
+  fb.want({0, 1}, -1);
+}
+
+TEST(FeatureBufferLookAhead, WantCountsSurviveEvictionAndTheFailedReset) {
+  auto fb = make_buffer(1, 20);
+  load_and_retire(fb, 3);
+  fb.want({3}, +1);
+  fb.want({3}, +1);
+  // Evicted from the wanted tier (the only slot left).
+  fb.check_and_ref(4);
+  fb.allocate_slot(4);
+  fb.mark_valid(4);
+  EXPECT_FALSE(fb.entry(3).valid);
+  EXPECT_EQ(fb.entry(3).want, 2u);
+  fb.release_one(4);
+  // A failed load of node 3 resets its entry at the last release; the
+  // hints belong to the queued batches and stay.
+  ASSERT_EQ(fb.check_and_ref(3).status, FeatureBuffer::CheckStatus::kMustLoad);
+  fb.allocate_slot(3);
+  fb.mark_failed(3);
+  fb.release_one(3);
+  const auto e = fb.entry(3);
+  EXPECT_FALSE(e.failed);
+  EXPECT_EQ(e.slot, kNoSlot);
+  EXPECT_EQ(e.ref_count, 0u);
+  EXPECT_EQ(e.want, 2u);
+  EXPECT_EQ(fb.standby_size(), 1u);
+  fb.want({3}, -1);
+  fb.want({3}, -1);
+  EXPECT_EQ(fb.entry(3).want, 0u);
+}
+
+TEST(FeatureBufferLookAhead, HintsOnPinnedNodesAreNoOps) {
+  auto fb = make_buffer(4, 20);
+  const std::vector<SlotId> slots = fb.pin_hot({5});
+  fb.mark_valid(5);
+  fb.seal_hot();
+  fb.want({5, 6}, +1);
+  EXPECT_EQ(fb.entry(5).want, 0u);
+  EXPECT_EQ(fb.entry(6).want, 1u);
+  EXPECT_FALSE(fb.ride_candidate(5));
+  EXPECT_TRUE(fb.ride_candidate(6));
+  // Dropping the batch's hints skips the pinned node the same way (a
+  // second drop on a cold node would fail a check).
+  fb.want({5, 6}, -1);
+  EXPECT_EQ(fb.entry(6).want, 0u);
+  EXPECT_EQ(fb.standby_size(), 3u);
+  EXPECT_EQ(fb.entry(5).slot, slots[0]);
+}
+
+TEST(FeatureBufferLookAhead, StandbySizeCoversBothTiers) {
+  Telemetry telemetry;
+  FeatureBuffer fb(FeatureBufferConfig{4, 4}, 20, &telemetry);
+  for (NodeId v = 0; v < 4; ++v) load_and_retire(fb, v);
+  fb.want({0, 1}, +1);
+  EXPECT_EQ(fb.standby_size(), 4u);
+  EXPECT_EQ(telemetry.metrics()->gauge("fb.standby").value(), 4);
+  EXPECT_EQ(fb.check_and_ref(1).status, FeatureBuffer::CheckStatus::kReady);
+  EXPECT_EQ(fb.standby_size(), 3u);
+  EXPECT_EQ(telemetry.metrics()->gauge("fb.standby").value(), 3);
+  fb.release_one(1);
+  fb.want({0, 1}, -1);
+  EXPECT_EQ(fb.standby_size(), 4u);
+}
+
+TEST(FeatureBufferLookAhead, RidesClaimOnlyWantedUnbufferedUnclaimedNodes) {
+  Telemetry telemetry;
+  FeatureBuffer fb(FeatureBufferConfig{4, 4}, 20, &telemetry);
+  load_and_retire(fb, 1);          // buffered
+  fb.check_and_ref(2);             // claimed by a loader, no slot yet
+  fb.want({1, 2, 3, 4}, +1);       // 5 stays unwanted
+  EXPECT_FALSE(fb.ride_candidate(1));
+  EXPECT_FALSE(fb.ride_candidate(2));
+  EXPECT_TRUE(fb.ride_candidate(3));
+  EXPECT_FALSE(fb.ride_candidate(5));
+  const std::vector<NodeId> nodes = {1, 2, 3, 4, 5};
+  std::vector<SlotId> slots(nodes.size(), 0);
+  // Three unwanted slots (node 1's is on the wanted tier): 3 and 4 claim.
+  EXPECT_EQ(fb.claim_rides(nodes.data(), nodes.size(), slots.data()), 2u);
+  EXPECT_EQ(slots[0], kNoSlot);
+  EXPECT_EQ(slots[1], kNoSlot);
+  EXPECT_NE(slots[2], kNoSlot);
+  EXPECT_NE(slots[3], kNoSlot);
+  EXPECT_EQ(slots[4], kNoSlot);
+  EXPECT_EQ(fb.entry(3).ref_count, 1u);
+  EXPECT_FALSE(fb.ride_candidate(3));
+  // A lookup meanwhile waits for the ride like any in-flight load.
+  EXPECT_EQ(fb.check_and_ref(3, FbClient::kServe).status,
+            FeatureBuffer::CheckStatus::kInFlight);
+  const NodeId landed[] = {3, 4};
+  fb.mark_loaded(nullptr, 0, landed, 2);
+  EXPECT_EQ(fb.wait_valid(3), slots[2]);
+  fb.release_one(3);
+  EXPECT_EQ(fb.entry(3).ref_count, 0u);
+  // The queued batch finds the ridden rows buffered.
+  EXPECT_EQ(fb.check_and_ref(4).status, FeatureBuffer::CheckStatus::kReady);
+  fb.release_one(4);
+  EXPECT_EQ(telemetry.metrics()->counter("fb.prefetches").value(), 2u);
+  // Rides are not lookups: loads of 1 and 2, a wait on 3, a reuse of 4.
+  EXPECT_EQ(fb.stats().loads, 2u);
+  EXPECT_EQ(fb.stats().wait_hits, 1u);
+  EXPECT_EQ(fb.stats().reuse_hits, 1u);
+  fb.release_one(2);
+  // With only wanted slots left, a ride takes none (and never blocks).
+  load_and_retire(fb, 7);
+  fb.want({6, 7}, +1);
+  EXPECT_TRUE(fb.ride_candidate(6));
+  const NodeId six = 6;
+  SlotId six_slot = 0;
+  EXPECT_EQ(fb.claim_rides(&six, 1, &six_slot), 0u);
+  EXPECT_EQ(six_slot, kNoSlot);
+  EXPECT_EQ(fb.entry(6).ref_count, 0u);
+  fb.want({1, 2, 3, 4, 6, 7}, -1);
+  EXPECT_EQ(fb.standby_size(), 4u);
+}
+
 // ---- Concurrent stress: Ne extractor threads with the minimum Ne x Mb
 // reserve must make progress (paper's deadlock-freedom claim) and deliver
 // the right bytes.
@@ -390,15 +551,16 @@ TEST_P(FeatureBufferStress, MinimumReserveNeverDeadlocks) {
   FeatureBufferConfig cfg;
   cfg.num_slots = slots;
   cfg.row_floats = 2;
-  FeatureBuffer fb(cfg, p.num_nodes);
+  Telemetry telemetry;
+  FeatureBuffer fb(cfg, p.num_nodes, &telemetry);
 
   std::atomic<std::uint64_t> mismatches{0};
   std::vector<std::thread> threads;
   for (unsigned t = 0; t < p.extractors; ++t) {
     threads.emplace_back([&, t] {
       Rng rng(splitmix64(t * 1000 + 17));
-      for (unsigned b = 0; b < p.batches_per_thread; ++b) {
-        // Random batch of distinct nodes.
+      // Random batch of distinct nodes.
+      const auto random_batch = [&] {
         std::vector<NodeId> nodes;
         while (nodes.size() < p.batch_nodes) {
           const NodeId v =
@@ -407,6 +569,18 @@ TEST_P(FeatureBufferStress, MinimumReserveNeverDeadlocks) {
             nodes.push_back(v);
           }
         }
+        return nodes;
+      };
+      // Look-ahead as the pipeline runs it: the next batch is "queued"
+      // (hinted) while this one extracts, and this one's hints drop once it
+      // holds its references. Wanted slots are still evictable, and rides
+      // never block, so the Ne x Mb reserve must still suffice.
+      std::vector<NodeId> next = random_batch();
+      fb.want(next, +1);
+      for (unsigned b = 0; b < p.batches_per_thread; ++b) {
+        const std::vector<NodeId> nodes = std::move(next);
+        next = random_batch();
+        fb.want(next, +1);
         std::vector<NodeId> to_load;
         std::vector<NodeId> to_wait;
         for (NodeId v : nodes) {
@@ -437,15 +611,36 @@ TEST_P(FeatureBufferStress, MinimumReserveNeverDeadlocks) {
           const float* d = fb.slot_data(slot);
           if (d[0] != static_cast<float>(v)) ++mismatches;
         }
+        fb.want(nodes, -1);
         // Simulate train + release.
         fb.release(nodes);
+        // A read that carried some of the queued batch's rows rides them.
+        std::vector<NodeId> gap;
+        for (const NodeId v : next) {
+          if (fb.ride_candidate(v)) gap.push_back(v);
+        }
+        std::vector<SlotId> ride_slots(gap.size());
+        fb.claim_rides(gap.data(), gap.size(), ride_slots.data());
+        for (std::size_t k = 0; k < gap.size(); ++k) {
+          if (ride_slots[k] == kNoSlot) continue;
+          float* d = fb.slot_data(ride_slots[k]);
+          d[0] = static_cast<float>(gap[k]);
+          d[1] = -static_cast<float>(gap[k]);
+          fb.mark_loaded(nullptr, 0, &gap[k], 1);
+        }
       }
+      fb.want(next, -1);
     });
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(mismatches.load(), 0u);
-  // All references dropped: every slot is back on standby.
+  // All references and hints dropped: every slot is back on standby.
   EXPECT_EQ(fb.standby_size(), slots);
+  for (NodeId v = 0; v < p.num_nodes; ++v) {
+    ASSERT_EQ(fb.entry(v).want, 0u) << "node " << v;
+    ASSERT_EQ(fb.entry(v).ref_count, 0u) << "node " << v;
+  }
+  EXPECT_GT(telemetry.metrics()->counter("fb.prefetches").value(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -2,6 +2,9 @@
 // the paper's qualitative claims, asserted with generous margins.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+
 #include "baselines/pygplus.hpp"
 #include "core/pipeline.hpp"
 #include "util/telemetry.hpp"
@@ -164,32 +167,80 @@ TEST_F(IntegrationFixture, DirectIoSparesPageCacheBufferedDoesNot) {
   EXPECT_GT(count_feature_pages(*env2.cache), 0u);
 }
 
+/// The image behind a test device, counting the page-cache misses of the
+/// topology region: a fault reads its whole page from the image (the
+/// sampler's copies out of resident pages are neighbour-list sized).
+class TopologyReadCounter final : public SsdBackend {
+ public:
+  TopologyReadCounter(std::shared_ptr<SsdBackend> image,
+                      const OnDiskLayout& lay)
+      : image_(std::move(image)), begin_(lay.indices_offset),
+        end_(lay.indices_offset + lay.indices_bytes) {}
+  std::int32_t read(std::uint64_t offset, std::uint32_t len,
+                    void* dst) override {
+    if (offset % kPageSize == 0 && len == kPageSize && offset < end_ &&
+        offset + len > begin_) {
+      reads_.fetch_add(1, std::memory_order_relaxed);
+    }
+    return image_->read(offset, len, dst);
+  }
+  std::int32_t write(std::uint64_t offset, std::uint32_t len,
+                     const void* src) override {
+    return image_->write(offset, len, src);
+  }
+  std::uint64_t size() const override { return image_->size(); }
+  std::uint64_t reads() const {
+    return reads_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  std::shared_ptr<SsdBackend> image_;
+  std::uint64_t begin_;
+  std::uint64_t end_;
+  std::atomic<std::uint64_t> reads_{0};
+};
+
 TEST_F(IntegrationFixture, SampleOnlyFasterThanFullPipelineSampling) {
-  // GNNDrive's "-all" sampling time stays within a small factor of
-  // "-only" (the paper's Fig. 2 for GNNDrive); PyG+'s blows up.
-  auto run_sampling = [&](const char* which, bool sample_only) {
-    auto env = make_env();
+  // The paper's Fig. 2 mechanism in counts: GNNDrive's "-all" samples
+  // against the same resident topology as its "-only" (direct I/O keeps
+  // feature reads out of the page cache), while PyG+'s buffered feature
+  // reads evict topology pages that its samplers then fault back in.
+  // Asserted on the topology page-cache misses of one warm epoch, not on
+  // wall time; fig02 measures the sampling times themselves.
+  const auto topology_misses = [&](const char* which, bool sample_only) {
+    auto counter = std::make_shared<TopologyReadCounter>(dataset->image(),
+                                                         dataset->layout());
+    SsdConfig ssd_cfg;
+    ssd_cfg.read_latency_us = 40.0;
+    auto ssd = std::make_unique<SsdDevice>(ssd_cfg, counter);
+    HostMemory mem(12ull << 20);
+    PageCache cache(mem, *ssd);
+    const RunContext ctx{dataset, ssd.get(), &mem, &cache, nullptr};
     CommonTrainConfig c = common();
     c.sample_only = sample_only;
+    std::unique_ptr<TrainSystem> system;
     if (std::string(which) == "gnndrive") {
       GnnDriveConfig cfg;
       cfg.common = c;
-      GnnDrive system(env.ctx, cfg);
-      system.run_epoch(100);
-      return system.run_epoch(0).sample_seconds;
+      system = std::make_unique<GnnDrive>(ctx, cfg);
+    } else {
+      PygPlusConfig cfg;
+      cfg.common = c;
+      system = std::make_unique<PygPlus>(ctx, cfg);
     }
-    PygPlusConfig cfg;
-    cfg.common = c;
-    PygPlus system(env.ctx, cfg);
-    system.run_epoch(100);
-    return system.run_epoch(0).sample_seconds;
+    system->run_epoch(100);  // warm-up: topology faulted in
+    const std::uint64_t before = counter->reads();
+    system->run_epoch(0);
+    return counter->reads() - before;
   };
-  const double gd_only = run_sampling("gnndrive", true);
-  const double gd_all = run_sampling("gnndrive", false);
-  const double pyg_only = run_sampling("pyg", true);
-  const double pyg_all = run_sampling("pyg", false);
-  // Contention ratio: PyG+ suffers far more than GNNDrive.
-  EXPECT_GT(pyg_all / pyg_only, 2.0 * (gd_all / std::max(gd_only, 1e-9)));
+  const std::uint64_t gd_only = topology_misses("gnndrive", true);
+  const std::uint64_t gd_all = topology_misses("gnndrive", false);
+  const std::uint64_t pyg_only = topology_misses("pyg", true);
+  const std::uint64_t pyg_all = topology_misses("pyg", false);
+  // GNNDrive: training costs the samplers at most a few extra faults.
+  EXPECT_LE(gd_all, gd_only + 50);
+  // PyG+: several times the faults of sampling alone.
+  EXPECT_GT(pyg_all, 4 * pyg_only + 1000);
 }
 
 TEST_F(IntegrationFixture, ExtractionCountsMatchDeviceTraffic) {

@@ -3,6 +3,8 @@
 // auto-sizing and CPU variant.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/pipeline.hpp"
 
 namespace gnndrive {
@@ -88,6 +90,35 @@ TEST_F(PipelineFixture, AllReferencesReleasedAfterEpoch) {
   }
   EXPECT_EQ(system.feature_buffer().standby_size(),
             system.feature_buffer().num_slots());
+}
+
+TEST_F(PipelineFixture, LookAheadHintsAndRidesDrainAfterEpoch) {
+  // A buffer at a tenth of its default size evicts all epoch long, so the
+  // batches queued for extraction keep their rows and training reads ride
+  // rows in for them. Once the epoch ends every hint is dropped and every
+  // ride reference returned, and whatever rode in is the disk's bytes.
+  auto env = make_env();
+  Telemetry telemetry;
+  env.ctx.telemetry = &telemetry;
+  GnnDriveConfig cfg = base_config();
+  cfg.feature_buffer_scale = 0.1;
+  GnnDrive system(env.ctx, cfg);
+  const EpochStats stats = system.run_epoch(0);
+  EXPECT_EQ(stats.result.trained_batches, stats.batches);
+  FeatureBuffer& fb = system.feature_buffer();
+  EXPECT_GT(telemetry.metrics()->counter("fb.prefetches").value(), 0u);
+  const auto dim = dataset->spec().feature_dim;
+  std::vector<float> truth(dim);
+  for (NodeId v = 0; v < dataset->spec().num_nodes; ++v) {
+    const auto e = fb.entry(v);
+    ASSERT_EQ(e.want, 0u) << "node " << v;
+    ASSERT_EQ(e.ref_count, 0u) << "node " << v;
+    if (!e.valid) continue;
+    dataset->read_feature_row(v, truth.data());
+    ASSERT_EQ(std::memcmp(fb.slot_data(e.slot), truth.data(), dim * 4), 0)
+        << "node " << v;
+  }
+  EXPECT_EQ(fb.standby_size(), fb.num_slots());
 }
 
 TEST_F(PipelineFixture, SampleOnlyModeDoesNoExtraction) {
@@ -206,15 +237,22 @@ TEST_F(PipelineFixture, DeterministicBatchSetAcrossRuns) {
   // (and hence the loss trajectory endpoint) is the same for a fixed seed.
   auto env1 = make_env();
   auto env2 = make_env();
+  Telemetry telemetry1, telemetry2;
+  env1.ctx.telemetry = &telemetry1;
+  env2.ctx.telemetry = &telemetry2;
   GnnDriveConfig cfg = base_config();
   GnnDrive a(env1.ctx, cfg);
   GnnDrive b(env2.ctx, cfg);
   const EpochStats sa = a.run_epoch(0);
   const EpochStats sb = b.run_epoch(0);
   EXPECT_EQ(sa.batches, sb.batches);
-  // Same loads happened (same nodes touched).
-  EXPECT_EQ(a.feature_buffer().stats().loads,
-            b.feature_buffer().stats().loads);
+  // Same rows brought into the buffer (same nodes touched): by a batch's
+  // own load or, timing-dependent, by a ride in another batch's read.
+  const auto brought_in = [](GnnDrive& system, Telemetry& telemetry) {
+    return system.feature_buffer().stats().loads +
+           telemetry.metrics()->counter("fb.prefetches").value();
+  };
+  EXPECT_EQ(brought_in(a, telemetry1), brought_in(b, telemetry2));
 }
 
 TEST_F(PipelineFixture, SegmentsPartitionTrainingSet) {
