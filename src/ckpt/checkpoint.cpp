@@ -4,8 +4,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
-#include <cstddef>
 #include <cstring>
 #include <filesystem>
 #include <functional>
@@ -15,6 +13,7 @@
 #include "util/common.hpp"
 #include "util/crc32c.hpp"
 #include "util/logging.hpp"
+#include "util/sectioned_file.hpp"
 #include "util/telemetry.hpp"
 
 namespace fs = std::filesystem;
@@ -25,8 +24,8 @@ namespace {
 
 constexpr char kFileMagic[8] = {'G', 'N', 'N', 'D', 'C', 'K', 'P', '1'};
 constexpr char kManifestMagic[8] = {'G', 'N', 'N', 'D', 'M', 'A', 'N', '1'};
-constexpr std::uint32_t kFormatVersion = 1;
 constexpr const char* kManifestName = "MANIFEST";
+constexpr std::size_t kManifestBytes = 20;  ///< magic, generation u64, CRC
 
 // Section kinds, in file order.
 constexpr std::uint32_t kSecMeta = 1;
@@ -35,137 +34,11 @@ constexpr std::uint32_t kSecAdam = 3;
 constexpr std::uint32_t kSecRng = 4;
 constexpr std::uint32_t kSecHotSet = 5;  ///< pinned hot-partition node ids
 constexpr std::uint32_t kSecLayout = 6;  ///< feature-layout plan fingerprint
-
-struct FileHeader {
-  char magic[8];
-  std::uint32_t version;
-  std::uint32_t section_count;
-  std::uint64_t generation;
-  std::uint32_t header_crc;  ///< over the preceding header bytes
-};
-
-struct SectionHeader {
-  std::uint32_t kind;
-  std::uint32_t reserved;
-  std::uint64_t payload_bytes;
-  std::uint32_t payload_crc;
-};
-
-/// Header checksum covers exactly the bytes before the crc field, so struct
-/// padding never enters the digest.
-std::uint32_t header_crc_of(const FileHeader& fh) {
-  return crc32c(&fh, offsetof(FileHeader, header_crc));
-}
-
-template <typename T>
-void append_pod(std::vector<std::uint8_t>& buf, const T& v) {
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-  buf.insert(buf.end(), p, p + sizeof(T));
-}
-
-void append_bytes(std::vector<std::uint8_t>& buf, const void* data,
-                  std::size_t len) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  buf.insert(buf.end(), p, p + len);
-}
-
-/// Bounds-checked reader over a loaded file image. Any overrun marks the
-/// image corrupt (torn file) instead of reading past the buffer.
-struct ByteReader {
-  const std::uint8_t* p;
-  std::size_t remaining;
-  bool ok = true;
-
-  template <typename T>
-  T read() {
-    T v{};
-    if (remaining < sizeof(T)) {
-      ok = false;
-      return v;
-    }
-    std::memcpy(&v, p, sizeof(T));
-    p += sizeof(T);
-    remaining -= sizeof(T);
-    return v;
-  }
-  bool read_into(void* dst, std::size_t len) {
-    if (remaining < len) {
-      ok = false;
-      return false;
-    }
-    std::memcpy(dst, p, len);
-    p += len;
-    remaining -= len;
-    return true;
-  }
-  bool skip(std::size_t len) {
-    if (remaining < len) {
-      ok = false;
-      return false;
-    }
-    p += len;
-    remaining -= len;
-    return true;
-  }
-};
-
-void append_section(std::vector<std::uint8_t>& out, std::uint32_t kind,
-                    const std::vector<std::uint8_t>& payload) {
-  SectionHeader sh{};
-  sh.kind = kind;
-  sh.payload_bytes = payload.size();
-  sh.payload_crc = crc32c(payload.data(), payload.size());
-  append_pod(out, sh);
-  append_bytes(out, payload.data(), payload.size());
-}
-
-[[noreturn]] void throw_errno(const std::string& what) {
-  throw std::runtime_error("checkpoint: " + what + ": " +
-                           std::strerror(errno));
-}
-
-void write_all(int fd, const std::uint8_t* data, std::size_t len) {
-  std::size_t done = 0;
-  while (done < len) {
-    const ssize_t n = ::write(fd, data + done, len - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("write");
-    }
-    done += static_cast<std::size_t>(n);
-  }
-}
-
-/// Durability barrier on the directory itself, so a rename survives a power
-/// cut. Best effort: some filesystems reject directory fsync.
-void fsync_dir(const std::string& dir) {
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return;
-  ::fsync(fd);
-  ::close(fd);
-}
-
-/// Writes `buf` to `path` honouring the temp/fsync discipline; `mid_write`
-/// runs after roughly half the payload hit the file (the torn-write
-/// injection point). Leaves the file open-and-closed, fsynced if asked.
-void write_file(const std::string& path, const std::vector<std::uint8_t>& buf,
-                bool do_fsync, const std::function<void()>& after_open,
-                const std::function<void()>& mid_write) {
-  const int fd = ::open(path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
-  if (fd < 0) throw_errno("open " + path);
-  try {
-    if (after_open) after_open();
-    const std::size_t half = buf.size() / 2;
-    write_all(fd, buf.data(), half);
-    if (mid_write) mid_write();
-    write_all(fd, buf.data() + half, buf.size() - half);
-    if (do_fsync && ::fsync(fd) != 0) throw_errno("fsync " + path);
-  } catch (...) {
-    ::close(fd);  // simulated crash or real failure: keep the partial file
-    throw;
-  }
-  if (::close(fd) != 0) throw_errno("close " + path);
-}
+// Every writer of this format has written the first four, and no CRC covers
+// a section's kind: one of them missing is a flipped kind bit, which would
+// otherwise resume without optimizer or RNG state.
+constexpr std::uint32_t kRequiredSections =
+    1u << kSecMeta | 1u << kSecParams | 1u << kSecAdam | 1u << kSecRng;
 
 std::optional<std::uint64_t> parse_generation(const std::string& name) {
   // ckpt-<digits>.gnnd
@@ -183,107 +56,96 @@ std::optional<std::uint64_t> parse_generation(const std::string& name) {
   return gen;
 }
 
-/// Fully-parsed checkpoint staged off to the side; committed into the live
-/// model/optimizer only after every section validated.
-struct ParsedCkpt {
-  TrainCursor cursor;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> shapes;  // rows, cols
-  std::vector<std::vector<float>> values;
-  std::vector<std::vector<float>> adam_m;
-  std::vector<std::vector<float>> adam_v;
-  std::uint64_t adam_t = 0;
-  bool has_adam = false;
+using Shapes = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+
+/// Tensors staged off to the side until the whole file validated: each
+/// tensor's (rows, cols), and `planes` arrays of rows x cols floats per
+/// tensor (1 for parameters; Adam's m then v), concatenated in file order.
+struct StagedTensors {
+  Shapes shapes;
+  std::vector<float> data;
 };
 
-bool parse_checkpoint(const std::vector<std::uint8_t>& img,
-                      std::uint64_t expect_gen, ParsedCkpt& out) {
-  ByteReader r{img.data(), img.size()};
-  const FileHeader fh = r.read<FileHeader>();
-  if (!r.ok) return false;
-  if (std::memcmp(fh.magic, kFileMagic, sizeof(kFileMagic)) != 0) return false;
-  if (fh.version != kFormatVersion) return false;
-  if (fh.generation != expect_gen) return false;
-  if (header_crc_of(fh) != fh.header_crc) return false;
-
-  bool saw_meta = false;
-  bool saw_params = false;
-  for (std::uint32_t s = 0; s < fh.section_count; ++s) {
-    const SectionHeader sh = r.read<SectionHeader>();
-    if (!r.ok || r.remaining < sh.payload_bytes) return false;
-    if (crc32c(r.p, sh.payload_bytes) != sh.payload_crc) return false;
-    ByteReader pr{r.p, static_cast<std::size_t>(sh.payload_bytes)};
-    r.skip(sh.payload_bytes);
-    switch (sh.kind) {
-      case kSecMeta: {
-        out.cursor.epoch = pr.read<std::uint64_t>();
-        out.cursor.next_batch = pr.read<std::uint64_t>();
-        out.cursor.trained_batches = pr.read<std::uint64_t>();
-        out.cursor.fingerprint = pr.read<ModelFingerprint>();
-        saw_meta = pr.ok;
-        break;
-      }
-      case kSecParams: {
-        const auto count = pr.read<std::uint32_t>();
-        for (std::uint32_t i = 0; i < count && pr.ok; ++i) {
-          const auto rows = pr.read<std::uint32_t>();
-          const auto cols = pr.read<std::uint32_t>();
-          const std::size_t n =
-              static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
-          std::vector<float> data(n);
-          if (!pr.read_into(data.data(), n * sizeof(float))) break;
-          out.shapes.emplace_back(rows, cols);
-          out.values.push_back(std::move(data));
-        }
-        saw_params = pr.ok && out.values.size() == count;
-        break;
-      }
-      case kSecAdam: {
-        out.adam_t = pr.read<std::uint64_t>();
-        const auto count = pr.read<std::uint32_t>();
-        for (std::uint32_t i = 0; i < count && pr.ok; ++i) {
-          const auto rows = pr.read<std::uint32_t>();
-          const auto cols = pr.read<std::uint32_t>();
-          const std::size_t n =
-              static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
-          std::vector<float> m(n), v(n);
-          if (!pr.read_into(m.data(), n * sizeof(float))) break;
-          if (!pr.read_into(v.data(), n * sizeof(float))) break;
-          out.adam_m.push_back(std::move(m));
-          out.adam_v.push_back(std::move(v));
-        }
-        out.has_adam = pr.ok && out.adam_m.size() == count;
-        if (!out.has_adam) return false;
-        break;
-      }
-      case kSecRng: {
-        const auto count = pr.read<std::uint32_t>();
-        for (std::uint32_t i = 0; i < count && pr.ok; ++i) {
-          RngStream stream;
-          stream.id = pr.read<std::uint32_t>();
-          for (auto& word : stream.state) word = pr.read<std::uint64_t>();
-          out.cursor.rng_streams.push_back(stream);
-        }
-        break;
-      }
-      case kSecHotSet: {
-        const auto count = pr.read<std::uint32_t>();
-        out.cursor.hot_set.reserve(count);
-        for (std::uint32_t i = 0; i < count && pr.ok; ++i) {
-          out.cursor.hot_set.push_back(pr.read<NodeId>());
-        }
-        break;
-      }
-      case kSecLayout: {
-        out.cursor.layout_fingerprint = pr.read<std::uint64_t>();
-        if (!pr.ok) return false;
-        break;
-      }
-      default:
-        break;  // unknown section: forward-compatible skip (CRC verified)
+bool read_tensors(ByteCursor& pr, int planes, StagedTensors* out) {
+  std::uint32_t count = 0;
+  // Each tensor takes at least its 8-byte shape, so a count the payload
+  // cannot hold is rejected before it sizes anything.
+  if (!pr.read(&count) || count > pr.remaining() / 8) return false;
+  out->shapes.reserve(count);
+  out->data.reserve(pr.remaining() / sizeof(float));
+  for (std::uint32_t i = 0; i < count; ++i) {
+    std::uint32_t rows = 0;
+    std::uint32_t cols = 0;
+    if (!pr.read(&rows) || !pr.read(&cols)) return false;
+    out->shapes.emplace_back(rows, cols);
+    for (int p = 0; p < planes; ++p) {
+      if (!pr.read_array(std::uint64_t{rows} * cols, &out->data)) return false;
     }
-    if (!pr.ok) return false;
   }
-  return saw_meta && saw_params;
+  return true;
+}
+
+struct ParsedCkpt {
+  TrainCursor cursor;
+  StagedTensors params;
+  StagedTensors adam;
+  std::uint64_t adam_t = 0;
+};
+
+/// False when the image is corrupt. A valid image of another run throws:
+/// identity is a caller error, not media corruption, so it is refused
+/// loudly instead of falling back.
+bool parse_checkpoint(const std::vector<std::uint8_t>& img,
+                      std::uint64_t expect_gen,
+                      const ModelFingerprint& expect, const Shapes& shapes,
+                      ParsedCkpt& out) {
+  std::uint32_t seen = 0;  ///< bit k: a section of kind k parsed
+  const auto tag = read_sections(
+      img.data(), img.size(), kFileMagic,
+      [&](std::uint32_t kind, ByteCursor& pr) {
+        if (kind < 32) seen |= 1u << kind;
+        TrainCursor& c = out.cursor;
+        switch (kind) {
+          case kSecMeta:
+            return pr.read(&c.epoch) && pr.read(&c.next_batch) &&
+                   pr.read(&c.trained_batches) && pr.read(&c.fingerprint);
+          case kSecParams:
+            return read_tensors(pr, 1, &out.params);
+          case kSecAdam:
+            return pr.read(&out.adam_t) && read_tensors(pr, 2, &out.adam);
+          case kSecRng: {
+            std::uint32_t count = 0;
+            if (!pr.read(&count)) return false;
+            for (std::uint32_t i = 0; i < count; ++i) {
+              RngStream stream;
+              if (!pr.read(&stream.id) || !pr.read(&stream.state)) {
+                return false;
+              }
+              c.rng_streams.push_back(stream);
+            }
+            return true;
+          }
+          case kSecHotSet: {
+            std::uint32_t count = 0;
+            return pr.read(&count) && pr.read_array(count, &c.hot_set);
+          }
+          case kSecLayout:
+            return pr.read(&c.layout_fingerprint);
+          default:
+            return true;  // a kind from a newer writer: skipped
+        }
+      });
+  if (tag != expect_gen || (seen & kRequiredSections) != kRequiredSections) {
+    return false;
+  }
+  if (!(out.cursor.fingerprint == expect)) {
+    throw std::runtime_error(
+        "checkpoint: generation " + std::to_string(expect_gen) +
+        " belongs to a different run/model configuration");
+  }
+  // The fingerprinted configuration fixes every shape, so a mismatch is a
+  // malformed file.
+  return out.params.shapes == shapes && out.adam.shapes == shapes;
 }
 
 }  // namespace
@@ -365,25 +227,16 @@ std::vector<std::uint64_t> CheckpointManager::generations() const {
 }
 
 std::uint64_t CheckpointManager::manifest_generation() const {
-  std::vector<std::uint8_t> buf(sizeof(kManifestMagic) + 12);
-  const std::string path = config_.dir + "/" + kManifestName;
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return 0;
-  const ssize_t n = ::read(fd, buf.data(), buf.size());
-  ::close(fd);
-  if (n != static_cast<ssize_t>(buf.size())) return 0;
-  if (std::memcmp(buf.data(), kManifestMagic, sizeof(kManifestMagic)) != 0) {
+  const auto buf = read_file(config_.dir + "/" + kManifestName);
+  if (!buf || buf->size() < kManifestBytes ||
+      std::memcmp(buf->data(), kManifestMagic, sizeof(kManifestMagic)) != 0) {
     return 0;
   }
   std::uint64_t gen = 0;
   std::uint32_t crc = 0;
-  std::memcpy(&gen, buf.data() + sizeof(kManifestMagic), sizeof(gen));
-  std::memcpy(&crc, buf.data() + sizeof(kManifestMagic) + sizeof(gen),
-              sizeof(crc));
-  if (crc32c(buf.data(), sizeof(kManifestMagic) + sizeof(gen)) != crc) {
-    return 0;
-  }
-  return gen;
+  std::memcpy(&gen, buf->data() + 8, sizeof(gen));
+  std::memcpy(&crc, buf->data() + 16, sizeof(crc));
+  return crc32c(buf->data(), 16) == crc ? gen : 0;
 }
 
 void CheckpointManager::crash_point(CkptPhase phase, std::uint64_t gen) {
@@ -416,79 +269,68 @@ std::uint64_t CheckpointManager::write(const TrainCursor& cursor,
   const std::uint64_t gen = next_generation_;
 
   // Serialize everything into one image: header + CRC'd sections.
-  std::vector<std::uint8_t> meta;
-  append_pod(meta, cursor.epoch);
-  append_pod(meta, cursor.next_batch);
-  append_pod(meta, cursor.trained_batches);
-  append_pod(meta, cursor.fingerprint);
+  SectionWriter w(kFileMagic, gen);
+  w.begin(kSecMeta);
+  w.put(cursor.epoch);
+  w.put(cursor.next_batch);
+  w.put(cursor.trained_batches);
+  // Field by field, so the struct's 4 tail bytes of padding go out as zeros.
+  const ModelFingerprint& fp = cursor.fingerprint;
+  for (std::uint32_t v : {fp.kind, fp.in_dim, fp.hidden_dim, fp.num_classes,
+                          fp.num_layers, fp.gat_heads}) {
+    w.put(v);
+  }
+  w.put(fp.model_seed);
+  w.put(fp.run_seed);
+  w.put(fp.batch_seeds);
+  w.put(std::uint32_t{0});
 
   const auto& params = model.params();
-  std::vector<std::uint8_t> psec;
-  append_pod(psec, static_cast<std::uint32_t>(params.size()));
+  w.begin(kSecParams);
+  w.put(static_cast<std::uint32_t>(params.size()));
   for (const Param* p : params) {
-    append_pod(psec, p->value.rows());
-    append_pod(psec, p->value.cols());
-    append_bytes(psec, p->value.data(), p->value.bytes());
+    w.put(p->value.rows());
+    w.put(p->value.cols());
+    w.put_bytes(p->value.data(), p->value.bytes());
   }
 
-  std::vector<std::uint8_t> asec;
-  append_pod(asec, adam.timestep());
-  append_pod(asec, static_cast<std::uint32_t>(params.size()));
+  w.begin(kSecAdam);
+  w.put(adam.timestep());
+  w.put(static_cast<std::uint32_t>(params.size()));
   for (const Param* p : params) {
-    append_pod(asec, p->m.rows());
-    append_pod(asec, p->m.cols());
-    append_bytes(asec, p->m.data(), p->m.bytes());
-    append_bytes(asec, p->v.data(), p->v.bytes());
+    w.put(p->m.rows());
+    w.put(p->m.cols());
+    w.put_bytes(p->m.data(), p->m.bytes());
+    w.put_bytes(p->v.data(), p->v.bytes());
   }
 
-  std::vector<std::uint8_t> rsec;
-  append_pod(rsec, static_cast<std::uint32_t>(cursor.rng_streams.size()));
+  w.begin(kSecRng);
+  w.put(static_cast<std::uint32_t>(cursor.rng_streams.size()));
   for (const RngStream& s : cursor.rng_streams) {
-    append_pod(rsec, s.id);
-    for (std::uint64_t word : s.state) append_pod(rsec, word);
+    w.put(s.id);
+    w.put(s.state);
   }
 
-  std::vector<std::uint8_t> hsec;
-  append_pod(hsec, static_cast<std::uint32_t>(cursor.hot_set.size()));
-  for (NodeId v : cursor.hot_set) append_pod(hsec, v);
+  w.begin(kSecHotSet);
+  w.put(static_cast<std::uint32_t>(cursor.hot_set.size()));
+  w.put_bytes(cursor.hot_set.data(), cursor.hot_set.size() * sizeof(NodeId));
 
-  std::vector<std::uint8_t> lsec;
-  append_pod(lsec, cursor.layout_fingerprint);
+  w.begin(kSecLayout);
+  w.put(cursor.layout_fingerprint);
+  const std::vector<std::uint8_t> img = w.finish();
 
-  FileHeader fh{};
-  std::memcpy(fh.magic, kFileMagic, sizeof(kFileMagic));
-  fh.version = kFormatVersion;
-  fh.section_count = 6;
-  fh.generation = gen;
-  fh.header_crc = header_crc_of(fh);
-
-  std::vector<std::uint8_t> img;
-  img.reserve(sizeof(fh) + meta.size() + psec.size() + asec.size() +
-              rsec.size() + hsec.size() + lsec.size() +
-              6 * sizeof(SectionHeader));
-  append_pod(img, fh);
-  append_section(img, kSecMeta, meta);
-  append_section(img, kSecParams, psec);
-  append_section(img, kSecAdam, asec);
-  append_section(img, kSecRng, rsec);
-  append_section(img, kSecHotSet, hsec);
-  append_section(img, kSecLayout, lsec);
-
-  // Atomic protocol: temp -> fsync -> rename -> fsync(dir), then the same
-  // for the manifest, then retention. CrashInjector fires between phases.
-  const std::string tmp = data_path(gen) + ".tmp";
-  write_file(tmp, img, config_.fsync,
-             [&] { crash_point(CkptPhase::kAfterTempOpen, gen); },
-             [&] { crash_point(CkptPhase::kTornSectionWrite, gen); });
-  crash_point(CkptPhase::kAfterTempWrite, gen);
-  // write_file fsynced before close (when configured).
-  crash_point(CkptPhase::kAfterTempFsync, gen);
-  fs::rename(tmp, data_path(gen), ec);
-  if (ec) {
-    throw std::runtime_error("checkpoint: rename " + tmp + ": " +
-                             ec.message());
-  }
-  if (config_.fsync) fsync_dir(config_.dir);
+  // Atomic protocol: the data file's durable commit, then the manifest's,
+  // then retention. CrashInjector fires between phases.
+  commit_file(data_path(gen), img, config_.fsync,
+              {.opened = [&] { crash_point(CkptPhase::kAfterTempOpen, gen); },
+               .half_written =
+                   [&] { crash_point(CkptPhase::kTornSectionWrite, gen); },
+               .written =
+                   [&] {
+                     crash_point(CkptPhase::kAfterTempWrite, gen);
+                     // commit_file fsynced before close (when configured).
+                     crash_point(CkptPhase::kAfterTempFsync, gen);
+                   }});
   crash_point(CkptPhase::kAfterDataRename, gen);
   write_manifest(gen);
   crash_point(CkptPhase::kAfterManifestRename, gen);
@@ -514,23 +356,15 @@ std::uint64_t CheckpointManager::write(const TrainCursor& cursor,
 }
 
 void CheckpointManager::write_manifest(std::uint64_t gen) {
-  std::vector<std::uint8_t> buf;
-  append_bytes(buf, kManifestMagic, sizeof(kManifestMagic));
-  append_pod(buf, gen);
-  const std::uint32_t crc = crc32c(buf.data(), buf.size());
-  append_pod(buf, crc);
-
-  const std::string path = config_.dir + "/" + kManifestName;
-  const std::string tmp = path + ".tmp";
-  write_file(tmp, buf, config_.fsync, nullptr, nullptr);
-  crash_point(CkptPhase::kAfterManifestTemp, gen);
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    throw std::runtime_error("checkpoint: rename " + tmp + ": " +
-                             ec.message());
-  }
-  if (config_.fsync) fsync_dir(config_.dir);
+  std::vector<std::uint8_t> buf(kManifestBytes);
+  std::memcpy(buf.data(), kManifestMagic, sizeof(kManifestMagic));
+  std::memcpy(buf.data() + 8, &gen, sizeof(gen));
+  const std::uint32_t crc = crc32c(buf.data(), 16);
+  std::memcpy(buf.data() + 16, &crc, sizeof(crc));
+  commit_file(config_.dir + "/" + kManifestName, buf, config_.fsync,
+              {.written = [&] {
+                crash_point(CkptPhase::kAfterManifestTemp, gen);
+              }});
 }
 
 void CheckpointManager::prune(std::uint64_t newest) {
@@ -558,73 +392,40 @@ std::optional<CheckpointManager::LoadResult> CheckpointManager::load_latest(
   auto gens = generations();
   std::sort(gens.begin(), gens.end(), std::greater<>());
   std::uint32_t fallbacks = 0;
+  const auto& params = model.params();
+  Shapes shapes;
+  for (const Param* p : params) {
+    shapes.emplace_back(p->value.rows(), p->value.cols());
+  }
   for (std::uint64_t gen : gens) {
-    std::vector<std::uint8_t> img;
-    {
-      const std::string path = data_path(gen);
-      const int fd = ::open(path.c_str(), O_RDONLY);
-      if (fd < 0) {
-        ++fallbacks;
-        continue;
-      }
-      const off_t size = ::lseek(fd, 0, SEEK_END);
-      ::lseek(fd, 0, SEEK_SET);
-      img.resize(size > 0 ? static_cast<std::size_t>(size) : 0);
-      std::size_t done = 0;
-      bool ok = true;
-      while (done < img.size()) {
-        const ssize_t n = ::read(fd, img.data() + done, img.size() - done);
-        if (n <= 0) {
-          if (n < 0 && errno == EINTR) continue;
-          ok = false;
-          break;
-        }
-        done += static_cast<std::size_t>(n);
-      }
-      ::close(fd);
-      if (!ok) {
-        ++fallbacks;
-        continue;
-      }
+    const auto img = read_file(data_path(gen));
+    if (!img) {
+      ++fallbacks;
+      continue;
     }
-
     ParsedCkpt parsed;
-    if (!parse_checkpoint(img, gen, parsed)) {
+    if (!parse_checkpoint(*img, gen, expect, shapes, parsed)) {
       log_structured(LogLevel::kWarn, "ckpt_corrupt",
-                     {kv("generation", gen), kv("bytes", img.size())});
+                     {kv("generation", gen), kv("bytes", img->size())});
       m_fallbacks_->add();
       ++fallbacks;
       continue;
     }
 
-    // Validation passed; identity and shape checks are caller errors, not
-    // media corruption — refuse loudly instead of falling back.
-    if (!(parsed.cursor.fingerprint == expect)) {
-      throw std::runtime_error(
-          "checkpoint: generation " + std::to_string(gen) +
-          " belongs to a different run/model configuration");
-    }
-    const auto& params = model.params();
-    GD_CHECK_MSG(parsed.values.size() == params.size(),
-                 "checkpoint parameter count mismatch");
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      GD_CHECK_MSG(parsed.shapes[i].first == params[i]->value.rows() &&
-                       parsed.shapes[i].second == params[i]->value.cols(),
-                   "checkpoint parameter shape mismatch");
-    }
-
     // Commit: every section validated, now overwrite live state.
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      std::memcpy(params[i]->value.data(), parsed.values[i].data(),
-                  params[i]->value.bytes());
-      if (adam != nullptr && parsed.has_adam) {
-        std::memcpy(params[i]->m.data(), parsed.adam_m[i].data(),
-                    params[i]->m.bytes());
-        std::memcpy(params[i]->v.data(), parsed.adam_v[i].data(),
-                    params[i]->v.bytes());
+    const float* value = parsed.params.data.data();
+    const float* moments = parsed.adam.data.data();
+    for (Param* p : params) {
+      std::memcpy(p->value.data(), value, p->value.bytes());
+      value += p->value.size();
+      if (adam != nullptr) {
+        std::memcpy(p->m.data(), moments, p->m.bytes());
+        moments += p->m.size();
+        std::memcpy(p->v.data(), moments, p->v.bytes());
+        moments += p->v.size();
       }
     }
-    if (adam != nullptr && parsed.has_adam) adam->set_timestep(parsed.adam_t);
+    if (adam != nullptr) adam->set_timestep(parsed.adam_t);
 
     m_restores_->add();
     m_generation_->set(static_cast<std::int64_t>(gen));
@@ -653,9 +454,9 @@ bool CheckpointManager::corrupt_flip_bit(std::uint64_t gen,
   }
   // Deterministic position past the header so the flip lands in a section.
   const auto pos = static_cast<off_t>(
-      sizeof(FileHeader) +
+      kFileHeaderBytes +
       splitmix64(seed) % (static_cast<std::uint64_t>(size) -
-                          sizeof(FileHeader)));
+                          kFileHeaderBytes));
   std::uint8_t byte = 0;
   if (::pread(fd, &byte, 1, pos) != 1) {
     ::close(fd);

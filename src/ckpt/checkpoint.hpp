@@ -1,9 +1,10 @@
 // Crash-safe checkpoint/restore for the training pipeline.
 //
 // A checkpoint is one generation-numbered file of CRC32C-checksummed
-// sections (meta cursor, model parameters, Adam state, RNG streams) plus a
-// tiny manifest naming the newest complete generation. Durability follows
-// the classic atomic protocol:
+// sections (meta cursor, model parameters, Adam state, RNG streams, hot set,
+// layout fingerprint) in the sectioned format of util/sectioned_file, plus
+// a tiny manifest naming the newest complete generation. Durability follows
+// the classic atomic protocol, each file committed by commit_file:
 //
 //   write ckpt-<gen>.tmp -> fsync(file) -> rename to ckpt-<gen>.gnnd
 //   -> fsync(dir) -> write MANIFEST.tmp -> fsync -> rename -> fsync(dir)
@@ -14,8 +15,10 @@
 // new generation is complete and the loader adopts it with or without the
 // manifest update (the loader prefers the newest file that validates, so a
 // crash between the data rename and the manifest rename loses nothing).
-// Torn or bit-flipped files fail their section CRCs and the loader falls
-// back one generation at a time until a record set validates.
+// Torn or bit-flipped files fail their section CRCs, files whose counts or
+// shapes exceed their payload or differ from the model fail the reader's
+// bounds checks, and the loader falls back one generation at a time until
+// a record set validates.
 //
 // Robustness is proven, not assumed: CrashInjector (the checkpoint-side
 // sibling of the storage FaultInjector) aborts the writer at every phase

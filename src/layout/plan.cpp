@@ -1,39 +1,19 @@
 #include "layout/plan.hpp"
 
-#include <cstdio>
-#include <cstring>
 #include <numeric>
+#include <stdexcept>
 
 #include "util/crc32c.hpp"
+#include "util/sectioned_file.hpp"
 
 namespace gnndrive {
 
 namespace {
 
-// On-disk framing, mirroring src/ckpt/checkpoint.cpp: fixed header guarded by
-// its own CRC, then (section header, payload) pairs each guarded by a payload
-// CRC. Readers skip unknown section kinds so old binaries tolerate new
-// sections.
 constexpr char kMagic[8] = {'G', 'N', 'N', 'D', 'L', 'A', 'Y', '1'};
-constexpr std::uint32_t kVersion = 1;
 
 constexpr std::uint32_t kSecMeta = 1;  ///< strategy/num_nodes/seeds
 constexpr std::uint32_t kSecPerm = 2;  ///< node -> row permutation array
-
-struct FileHeader {
-  char magic[8];
-  std::uint32_t version;
-  std::uint32_t section_count;
-  std::uint64_t reserved;
-  std::uint32_t header_crc;  ///< CRC32C over bytes [0, offsetof(header_crc)).
-};
-
-struct SectionHeader {
-  std::uint32_t kind;
-  std::uint32_t reserved;
-  std::uint64_t payload_bytes;
-  std::uint32_t payload_crc;
-};
 
 struct MetaPayload {
   std::uint32_t strategy;
@@ -42,57 +22,10 @@ struct MetaPayload {
   std::uint64_t profile_seed;
 };
 
-std::uint32_t header_crc_of(const FileHeader& fh) {
-  return crc32c(&fh, offsetof(FileHeader, header_crc));
+MetaPayload meta_of(const LayoutPlan& plan) {
+  return {static_cast<std::uint32_t>(plan.strategy), plan.num_nodes,
+          plan.dataset_seed, plan.profile_seed};
 }
-
-template <typename T>
-void append_pod(std::vector<std::uint8_t>& out, const T& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-  out.insert(out.end(), p, p + sizeof(T));
-}
-
-void append_section(std::vector<std::uint8_t>& out, std::uint32_t kind,
-                    const void* payload, std::uint64_t payload_bytes) {
-  SectionHeader sh{};
-  sh.kind = kind;
-  sh.payload_bytes = payload_bytes;
-  sh.payload_crc = crc32c(payload, payload_bytes);
-  append_pod(out, sh);
-  const auto* p = static_cast<const std::uint8_t*>(payload);
-  out.insert(out.end(), p, p + payload_bytes);
-}
-
-/// Bounds-checked cursor over the serialized buffer; every failed read
-/// latches `ok = false` and subsequent reads no-op.
-struct ByteReader {
-  const std::uint8_t* p;
-  std::size_t remaining;
-  bool ok = true;
-
-  template <typename T>
-  bool read(T* out) {
-    if (!ok || remaining < sizeof(T)) return ok = false;
-    std::memcpy(out, p, sizeof(T));
-    p += sizeof(T);
-    remaining -= sizeof(T);
-    return true;
-  }
-  bool read_into(void* out, std::size_t n) {
-    if (!ok || remaining < n) return ok = false;
-    std::memcpy(out, p, n);
-    p += n;
-    remaining -= n;
-    return true;
-  }
-  bool skip(std::size_t n) {
-    if (!ok || remaining < n) return ok = false;
-    p += n;
-    remaining -= n;
-    return true;
-  }
-};
 
 }  // namespace
 
@@ -133,11 +66,7 @@ bool LayoutPlan::validate() const {
 
 std::uint64_t LayoutPlan::fingerprint() const {
   if (is_identity()) return 0;
-  MetaPayload meta{};
-  meta.strategy = static_cast<std::uint32_t>(strategy);
-  meta.num_nodes = num_nodes;
-  meta.dataset_seed = dataset_seed;
-  meta.profile_seed = profile_seed;
+  const MetaPayload meta = meta_of(*this);
   const std::uint64_t hi = crc32c(&meta, sizeof(meta));
   const std::uint64_t lo =
       crc32c(perm.data(), perm.size() * sizeof(NodeId));
@@ -147,74 +76,45 @@ std::uint64_t LayoutPlan::fingerprint() const {
 }
 
 std::vector<std::uint8_t> LayoutPlan::serialize() const {
-  std::vector<std::uint8_t> out;
-  out.reserve(sizeof(FileHeader) + 2 * sizeof(SectionHeader) +
-              sizeof(MetaPayload) + perm.size() * sizeof(NodeId));
-
-  FileHeader fh{};
-  std::memcpy(fh.magic, kMagic, sizeof(kMagic));
-  fh.version = kVersion;
-  fh.section_count = 2;
-  fh.header_crc = header_crc_of(fh);
-  append_pod(out, fh);
-
-  MetaPayload meta{};
-  meta.strategy = static_cast<std::uint32_t>(strategy);
-  meta.num_nodes = num_nodes;
-  meta.dataset_seed = dataset_seed;
-  meta.profile_seed = profile_seed;
-  append_section(out, kSecMeta, &meta, sizeof(meta));
-  append_section(out, kSecPerm, perm.data(), perm.size() * sizeof(NodeId));
-  return out;
+  SectionWriter w(kMagic, /*tag=*/0);
+  w.begin(kSecMeta);
+  w.put(meta_of(*this));
+  w.begin(kSecPerm);
+  w.put_bytes(perm.data(), perm.size() * sizeof(NodeId));
+  return w.finish();
 }
 
 bool LayoutPlan::deserialize(const std::uint8_t* data, std::size_t len,
                              LayoutPlan* out) {
-  ByteReader r{data, len};
-  FileHeader fh{};
-  if (!r.read(&fh)) return false;
-  if (std::memcmp(fh.magic, kMagic, sizeof(kMagic)) != 0) return false;
-  if (fh.version != kVersion) return false;
-  if (fh.header_crc != header_crc_of(fh)) return false;
-
   LayoutPlan plan;
   bool saw_meta = false;
   bool saw_perm = false;
-  for (std::uint32_t s = 0; s < fh.section_count; ++s) {
-    SectionHeader sh{};
-    if (!r.read(&sh)) return false;
-    if (r.remaining < sh.payload_bytes) return false;
-    if (crc32c(r.p, sh.payload_bytes) != sh.payload_crc) return false;
-    switch (sh.kind) {
-      case kSecMeta: {
-        MetaPayload meta{};
-        if (sh.payload_bytes != sizeof(meta)) return false;
-        if (!r.read(&meta)) return false;
-        if (meta.strategy > static_cast<std::uint32_t>(
-                                LayoutStrategy::kHotness)) {
-          return false;
+  const auto tag = read_sections(
+      data, len, kMagic, [&](std::uint32_t kind, ByteCursor& pr) {
+        switch (kind) {
+          case kSecMeta: {
+            MetaPayload meta{};
+            if (pr.remaining() != sizeof(meta) || !pr.read(&meta) ||
+                meta.strategy >
+                    static_cast<std::uint32_t>(LayoutStrategy::kHotness)) {
+              return false;
+            }
+            plan.strategy = static_cast<LayoutStrategy>(meta.strategy);
+            plan.num_nodes = meta.num_nodes;
+            plan.dataset_seed = meta.dataset_seed;
+            plan.profile_seed = meta.profile_seed;
+            saw_meta = true;
+            return true;
+          }
+          case kSecPerm:
+            saw_perm = true;
+            return pr.remaining() % sizeof(NodeId) == 0 &&
+                   pr.read_array(pr.remaining() / sizeof(NodeId), &plan.perm);
+          default:
+            return true;  // a kind from a newer writer: skipped
         }
-        plan.strategy = static_cast<LayoutStrategy>(meta.strategy);
-        plan.num_nodes = meta.num_nodes;
-        plan.dataset_seed = meta.dataset_seed;
-        plan.profile_seed = meta.profile_seed;
-        saw_meta = true;
-        break;
-      }
-      case kSecPerm: {
-        if (sh.payload_bytes % sizeof(NodeId) != 0) return false;
-        plan.perm.resize(sh.payload_bytes / sizeof(NodeId));
-        if (!r.read_into(plan.perm.data(), sh.payload_bytes)) return false;
-        saw_perm = true;
-        break;
-      }
-      default:
-        // Unknown section from a newer writer: CRC already verified, skip.
-        if (!r.skip(sh.payload_bytes)) return false;
-        break;
-    }
-  }
-  if (!saw_meta || !saw_perm) return false;
+      });
+  if (!tag || !saw_meta || !saw_perm) return false;
   if (plan.perm.size() != plan.num_nodes) return false;
 
   // Rebuild the inverse and reject non-bijective payloads in one pass.
@@ -230,34 +130,17 @@ bool LayoutPlan::deserialize(const std::uint8_t* data, std::size_t len,
 }
 
 bool LayoutPlan::save(const std::string& path) const {
-  const std::vector<std::uint8_t> bytes = serialize();
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const bool ok =
-      std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
-  return (std::fclose(f) == 0) && ok;
+  try {
+    commit_file(path, serialize(), /*sync=*/true);
+  } catch (const std::runtime_error&) {
+    return false;
+  }
+  return true;
 }
 
 bool LayoutPlan::load(const std::string& path, LayoutPlan* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  std::vector<std::uint8_t> bytes;
-  if (std::fseek(f, 0, SEEK_END) != 0) {
-    std::fclose(f);
-    return false;
-  }
-  const long sz = std::ftell(f);
-  if (sz < 0) {
-    std::fclose(f);
-    return false;
-  }
-  bytes.resize(static_cast<std::size_t>(sz));
-  std::rewind(f);
-  const bool read_ok =
-      std::fread(bytes.data(), 1, bytes.size(), f) == bytes.size();
-  std::fclose(f);
-  if (!read_ok) return false;
-  return deserialize(bytes.data(), bytes.size(), out);
+  const auto bytes = read_file(path);
+  return bytes && deserialize(bytes->data(), bytes->size(), out);
 }
 
 LayoutPlan make_identity_plan(NodeId num_nodes, std::uint64_t dataset_seed) {

@@ -13,9 +13,9 @@
 // set into a few long runs the coalescer folds into single requests
 // (DiskGNN's offline reordering, Ginex's superbatch preprocessing).
 //
-// Serialization follows the src/ckpt CRC32C-sectioned idiom: a fixed header
-// with its own CRC, then per-section headers carrying payload length + CRC,
-// unknown sections skipped forward-compatibly.
+// Plans are stored in the sectioned format of util/sectioned_file, shared
+// with checkpoints (CRC32C-guarded header and sections, unknown sections
+// skipped), and saved through its durable temp -> fsync -> rename commit.
 #pragma once
 
 #include <cstdint>
@@ -68,7 +68,8 @@ struct LayoutPlan {
                           LayoutPlan* out);
 
   /// File round-trip for the tools/ entry point. save() returns false on I/O
-  /// failure; load() additionally fails on any deserialize() rejection.
+  /// failure and replaces the file durably: a crash mid-save leaves the
+  /// previous plan. load() additionally fails on any deserialize() rejection.
   bool save(const std::string& path) const;
   static bool load(const std::string& path, LayoutPlan* out);
 };

@@ -153,7 +153,6 @@ ServeEngine::ServeEngine(const RunContext& ctx, const ServeConfig& config,
   m_completed_ = &reg.counter("serve.completed");
   m_failed_ = &reg.counter("serve.failed");
   m_shed_ = &reg.counter("serve.shed_deadline");
-  m_batches_ = &reg.counter("serve.batches");
   m_io_retries_ = &reg.counter("serve.io_retries");
   m_io_errors_ = &reg.counter("serve.io_errors");
   m_hot_swaps_ = &reg.counter("serve.hot_swaps");
@@ -372,7 +371,6 @@ void ServeEngine::process_batch(std::vector<PendingRequest>&& batch,
       ctx_.telemetry != nullptr ? ctx_.telemetry->tracer() : nullptr;
   const bool tracing = tracer != nullptr && tracer->enabled();
   const auto coalesced = static_cast<std::uint32_t>(batch.size());
-  m_batches_->add();
   rm_batch_size_->add_us(static_cast<double>(coalesced));
 
   // Deadline shedding: a request whose SLO already expired while queued is
@@ -503,12 +501,14 @@ ServeReport ServeEngine::report() const {
   r.completed = count("serve.completed");
   r.failed = count("serve.failed");
   r.shed_deadline = count("serve.shed_deadline");
-  r.batches = count("serve.batches");
   r.io_errors = count("serve.io_errors");
   r.io_retries = count("serve.io_retries");
   // serve.batch.size holds one sample per micro-batch whose value is its
-  // request count, so its mean is the coalesce factor.
-  r.coalesce_factor = window("serve.batch.size").mean_us();
+  // request count: its count is the batch count, its mean the coalesce
+  // factor.
+  const LatencyHistogram batch_sizes = window("serve.batch.size");
+  r.batches = batch_sizes.count();
+  r.coalesce_factor = batch_sizes.mean_us();
   r.queue_wait = StageLatency::of(window("serve.queue_wait.us"));
   r.extract = StageLatency::of(window("serve.extract.us"));
   r.infer = StageLatency::of(window("serve.infer.us"));

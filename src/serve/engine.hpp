@@ -162,7 +162,6 @@ class ServeEngine : NonCopyable {
   Counter* m_completed_;              ///< serve.completed
   Counter* m_failed_;                 ///< serve.failed
   Counter* m_shed_;                   ///< serve.shed_deadline
-  Counter* m_batches_;                ///< serve.batches
   Counter* m_io_retries_;             ///< serve.io_retries
   Counter* m_io_errors_;              ///< serve.io_errors
   Counter* m_hot_swaps_;              ///< serve.hot_swaps

@@ -1,5 +1,5 @@
 // CRC32C (Castagnoli, polynomial 0x1EDC6F41, reflected 0x82F63B78) — the
-// checksum guarding every checkpoint record (src/ckpt). Software
+// checksum guarding every sectioned file (util/sectioned_file). Software
 // table-driven implementation: this host has no guaranteed SSE4.2, and
 // checkpoint payloads are megabytes at most, far off any hot path.
 #pragma once

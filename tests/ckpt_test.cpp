@@ -25,6 +25,8 @@
 #include "core/pipeline.hpp"
 #include "serve/engine.hpp"
 #include "util/crc32c.hpp"
+#include "util/sectioned_file.hpp"
+#include "util/telemetry.hpp"
 
 namespace gnndrive {
 namespace {
@@ -222,6 +224,51 @@ TEST(Checkpoint, FingerprintMismatchRefusesLoudly) {
   ModelFingerprint other = f.fp;
   other.run_seed ^= 1;  // a different run: silently adopting would corrupt it
   EXPECT_THROW(mgr.load_latest(f.model, &f.adam, other), std::runtime_error);
+}
+
+// A generation whose CRCs all hold but whose tensor counts claim more than
+// the payload carries is corrupt like a torn one: load_latest falls back
+// past it, counted in ckpt.fallbacks, without sizing anything from the
+// counts.
+TEST(Checkpoint, CrcValidOversizedCountsFallBack) {
+  constexpr char kMagic[8] = {'G', 'N', 'N', 'D', 'C', 'K', 'P', '1'};
+  constexpr std::uint32_t kSecMeta = 1;
+  constexpr std::uint32_t kSecParams = 2;
+  constexpr std::uint32_t kSecAdam = 3;
+  // One 0xFFFFFFFF x 0xFFFFFFFF tensor in a 12-byte params payload, or in an
+  // Adam payload behind its timestep.
+  for (const std::uint32_t kind : {kSecParams, kSecAdam}) {
+    SCOPED_TRACE(kind == kSecParams ? "params" : "adam");
+    CkptFixture f;
+    CheckpointConfig cfg;
+    cfg.enabled = true;
+    cfg.dir = fresh_dir("oversized-" + std::to_string(kind));
+    scribble_state(f.model, 1);
+    CheckpointManager(cfg).write(f.cursor(0, 4), f.model, f.adam);
+    const auto good = snapshot_params(f.model);
+
+    const TrainCursor cur = f.cursor(0, 8);
+    SectionWriter w(kMagic, 2);
+    w.begin(kSecMeta);
+    w.put(cur.epoch);
+    w.put(cur.next_batch);
+    w.put(cur.trained_batches);
+    w.put(cur.fingerprint);
+    w.begin(kind);
+    if (kind == kSecAdam) w.put(std::uint64_t{1});
+    for (const std::uint32_t v : {1u, 0xFFFFFFFFu, 0xFFFFFFFFu}) w.put(v);
+    commit_file(cfg.dir + "/ckpt-2.gnnd", w.finish(), /*sync=*/false);
+
+    Telemetry telemetry;
+    CheckpointManager mgr(cfg, &telemetry);
+    scribble_state(f.model, 2);
+    const auto loaded = mgr.load_latest(f.model, &f.adam, f.fp);
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(loaded->generation, 1u);
+    EXPECT_EQ(loaded->fallbacks, 1u);
+    EXPECT_EQ(telemetry.metrics()->counter("ckpt.fallbacks").value(), 1u);
+    EXPECT_EQ(snapshot_params(f.model), good);
+  }
 }
 
 // Manager-level crash matrix: abort the writer at every phase boundary and

@@ -130,28 +130,6 @@ TEST(LayoutPlan, FileRoundTrip) {
   std::filesystem::remove(path);
 }
 
-TEST(LayoutPlan, DeserializeRejectsCorruptionAndTruncation) {
-  const Dataset ds = Dataset::build(toy_spec(16));
-  const LayoutPlan plan = plan_degree_layout(ds);
-  const auto bytes = plan.serialize();
-  LayoutPlan out;
-
-  // Bit flips anywhere in the stream fail a CRC (header or section).
-  for (const std::size_t pos :
-       {std::size_t{3}, bytes.size() / 2, bytes.size() - 1}) {
-    auto bad = bytes;
-    bad[pos] ^= 0x40;
-    EXPECT_FALSE(LayoutPlan::deserialize(bad.data(), bad.size(), &out))
-        << "flip at " << pos;
-  }
-  // Truncations at every boundary class fail bounds checks.
-  for (const std::size_t len :
-       {std::size_t{0}, std::size_t{7}, std::size_t{40}, bytes.size() - 1}) {
-    EXPECT_FALSE(LayoutPlan::deserialize(bytes.data(), len, &out))
-        << "len " << len;
-  }
-}
-
 TEST(LayoutPlan, DeserializeRejectsNonBijectivePermutation) {
   LayoutPlan plan;
   plan.strategy = LayoutStrategy::kDegree;

@@ -277,7 +277,7 @@ TEST_F(ServeFixture, PublishesServeMetrics) {
   MetricsRegistry& reg = *env.telemetry->metrics();
   EXPECT_EQ(reg.counter("serve.submitted").value(), 12u);
   EXPECT_EQ(reg.counter("serve.completed").value(), 12u);
-  EXPECT_GT(reg.counter("serve.batches").value(), 0u);
+  EXPECT_GT(reg.histogram("serve.batch.size").count(), 0u);
   EXPECT_EQ(reg.histogram("serve.latency.us").count(), 12u);
   EXPECT_GT(reg.histogram("serve.extract.us").count(), 0u);
   EXPECT_GT(reg.histogram("serve.infer.us").count(), 0u);

@@ -144,7 +144,6 @@ TEST(TelemetryViews, EveryReportIsARegistryDiff) {
   EXPECT_EQ(rep.completed, delta("serve.completed"));
   EXPECT_EQ(rep.failed, delta("serve.failed"));
   EXPECT_EQ(rep.shed_deadline, delta("serve.shed_deadline"));
-  EXPECT_EQ(rep.batches, delta("serve.batches"));
   EXPECT_EQ(rep.io_errors, delta("serve.io_errors"));
   EXPECT_EQ(rep.io_retries, delta("serve.io_retries"));
   EXPECT_EQ(rep.latency.count, hist_delta("serve.latency.us"));
